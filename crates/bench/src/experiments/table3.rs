@@ -40,11 +40,14 @@ fn base_config() -> SimConfig {
 }
 
 fn averaged(reports: &[SimReport]) -> (Vec<f64>, f64, f64) {
-    let n_cpus = reports[0].throttled_fraction.len();
+    let topo = base_config().topology_builder().build();
+    let n_cpus = topo.n_cpus();
+    let per_report: Vec<Vec<f64>> = reports
+        .iter()
+        .map(|r| r.cpu_throttled_fractions(&topo).collect())
+        .collect();
     let per_cpu: Vec<f64> = (0..n_cpus)
-        .map(|c| {
-            reports.iter().map(|r| r.throttled_fraction[c]).sum::<f64>() / reports.len() as f64
-        })
+        .map(|c| per_report.iter().map(|f| f[c]).sum::<f64>() / reports.len() as f64)
         .collect();
     let avg = per_cpu.iter().sum::<f64>() / n_cpus as f64;
     let ips = reports.iter().map(|r| r.throughput_ips).sum::<f64>() / reports.len() as f64;

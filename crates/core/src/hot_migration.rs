@@ -26,11 +26,36 @@
 //! core-level scheduler domain is walked before the node level, so a
 //! cooler core one die away is preferred over a cooler package two
 //! migrations' worth of cache misses away.
+//!
+//! # Cost of the search
+//!
+//! "The coolest CPU of a domain" is a minimum over the domain's span,
+//! but a machine's hot CPUs all ask for it within one scheduler tick,
+//! against the same thermal powers. [`HotSearch`] therefore holds two
+//! derived tables that make each search O(groups) instead of O(span):
+//!
+//! - a **coolness table**: every core's average thermal power, filled
+//!   once per tick by [`HotSearch::refresh`] (thermal powers only move
+//!   in the physics phase, so the table is exact for the whole tick);
+//! - a **per-group memo**: each domain group is one hardware unit, and
+//!   the memo keeps the unit's best two candidates *on distinct cores*
+//!   under the search's ranking. A domain's candidate is the best of
+//!   its groups' entries, taking a group's second entry when its first
+//!   sits on the source core. Entries are keyed on the table's stamp
+//!   and on the unit's [`System::group_gen`], which moves whenever a
+//!   member queue's task set changes — the same scheme as the energy
+//!   balancer's [`crate::GroupRatioCache`].
+//!
+//! The ranking is a total order (coolness under `total_cmp`, then
+//! `nr_running`, then CPU id), so the memoised minimum is the very CPU
+//! the span scan would pick, NaN thermal powers included. The idle,
+//! exchange and gap tests still read live state.
 
 use crate::metrics::PowerState;
 use ebs_sched::{MigrationReason, System, TaskId};
-use ebs_topology::{CpuId, Topology};
+use ebs_topology::{CoreId, CpuGroup, CpuId, GroupUnit, SchedDomain, Topology};
 use ebs_units::Watts;
+use std::cmp::Ordering;
 
 /// Tunables of hot task migration.
 #[derive(Clone, Copy, Debug)]
@@ -97,14 +122,33 @@ impl HotTaskMigrator {
         if rq.nr_running() != 1 || rq.current().is_none() {
             return false;
         }
-        let pkg = package_cpus(sys.topology(), cpu);
-        let thermal = power.thermal_power_sum(&pkg);
-        let budget = power.max_power_sum(&pkg);
+        let topo = sys.topology();
+        let pkg = topo.package_of(cpu);
+        let thermal: Watts = topo
+            .threads_of_package(pkg)
+            .map(|c| power.thermal_power(c))
+            .sum();
+        let budget: Watts = topo
+            .threads_of_package(pkg)
+            .map(|c| power.max_power(c))
+            .sum();
+        self.package_hot(thermal, budget)
+    }
+
+    /// The package half of the trigger: the package's summed thermal
+    /// power has reached the trigger fraction of its summed budget.
+    /// Engines that screen whole packages once per tick call this with
+    /// the same sums [`HotTaskMigrator::triggered`] forms.
+    pub fn package_hot(&self, thermal: Watts, budget: Watts) -> bool {
         thermal.0 >= budget.0 * self.cfg.trigger_fraction
     }
 
     /// Checks the trigger and, if it fires, searches for a destination
     /// and performs the migration. Returns what happened, if anything.
+    ///
+    /// A one-shot convenience over [`HotTaskMigrator::migrate`]: it
+    /// builds and fills a fresh [`HotSearch`] (no capacity table) per
+    /// call. Engines keep one `HotSearch` across calls instead.
     ///
     /// The caller (the simulation engine) is responsible for context
     /// switching the CPUs whose running tasks were moved, as Linux's
@@ -113,42 +157,55 @@ impl HotTaskMigrator {
         if !self.triggered(cpu, sys, power) {
             return None;
         }
+        let mut search = HotSearch::new(sys.topology(), None);
+        search.refresh(sys.topology(), power);
+        self.migrate(cpu, sys, power, &mut search)
+    }
+
+    /// Searches a destination for the running task of `cpu`, which the
+    /// caller has found [triggered](HotTaskMigrator::triggered), and
+    /// performs the migration. `search` must have been
+    /// [refreshed](HotSearch::refresh) since `power` last changed.
+    ///
+    /// Without a capacity table each domain's coolest CPU is examined.
+    /// With one, the search prefers the *highest-capacity* CPU among
+    /// those that satisfy the coolness gap, coolness and determinism
+    /// breaking ties: a hot task is by construction a throughput-heavy
+    /// one, and parking it on a sufficiently cool efficiency core when
+    /// a cool performance core also qualifies trades the thermal win
+    /// for a throughput collapse.
+    pub fn migrate(
+        &self,
+        cpu: CpuId,
+        sys: &mut System,
+        power: &PowerState,
+        search: &mut HotSearch,
+    ) -> Option<HotMigration> {
         let hot_task = sys.current(cpu)?;
         let hot_profile = sys.task(hot_task).profile();
-        let src_thermal = core_avg_thermal(sys.topology(), cpu, power);
-        let min_gap = power.max_power(cpu) * self.cfg.min_gap_fraction;
-
-        // Shared handle instead of a deep clone (the clone copied
-        // every domain stack on each triggered check).
+        // A shared handle keeps the domains readable while `sys` is
+        // mutated below, without copying them.
         let topo_arc = sys.topology_shared();
         let topo = &*topo_arc;
+        let src_core = topo.core_of(cpu);
+        let src_thermal = Watts(search.coolness[src_core.0]);
+        let min_gap = power.max_power(cpu) * self.cfg.min_gap_fraction;
         for domain in topo.domains(cpu) {
             // Migrating to an SMT sibling does not cool anything: skip
             // shared-power domains.
             if domain.flags().share_cpu_power {
                 continue;
             }
-            // Search the coolest CPU within the domain (outside the
-            // source core), judging coolness per core and preferring
-            // idle CPUs among a core's hardware threads.
-            let candidate = domain
-                .span()
-                .filter(|&c| !topo.same_core(c, cpu))
-                .min_by(|&a, &b| {
-                    let ka = candidate_key(topo, sys, power, a);
-                    let kb = candidate_key(topo, sys, power, b);
-                    // Total order so a NaN thermal power on a
-                    // degenerate machine skews instead of panics.
-                    ka.0.total_cmp(&kb.0).then((ka.1, ka.2).cmp(&(kb.1, kb.2)))
-                });
-            let Some(dest) = candidate else {
+            let Some(dest) = search.coolest(sys, domain, src_core, |cool| {
+                src_thermal - Watts(cool) >= min_gap
+            }) else {
                 continue;
             };
             // CPU cool enough?
-            let dest_thermal = core_avg_thermal(topo, dest, power);
-            if src_thermal - dest_thermal < min_gap {
+            if src_thermal - Watts(dest.cool) < min_gap {
                 continue; // Ascend one level.
             }
+            let dest = dest.cpu;
             // CPU idle?
             if sys.rq(dest).is_idle() {
                 sys.migrate_running(cpu, dest, MigrationReason::HotTask)
@@ -179,112 +236,250 @@ impl HotTaskMigrator {
         }
         None
     }
+}
 
-    /// Capacity-aware [`HotTaskMigrator::run`]: with a class-capacity
-    /// table, the destination search prefers the *highest-capacity*
-    /// CPU among those that satisfy the coolness gap, coolness and
-    /// determinism breaking ties. A hot task is by construction a
-    /// throughput-heavy one — parking it on a sufficiently cool
-    /// efficiency core when a cool performance core also qualifies
-    /// trades the thermal win for a throughput collapse. `None`
-    /// delegates to the exact legacy search.
-    pub fn run_with_capacities(
-        &self,
-        cpu: CpuId,
-        sys: &mut System,
-        power: &PowerState,
-        capacities: Option<&[f64]>,
-    ) -> Option<HotMigration> {
-        let Some(caps) = capacities else {
-            return self.run(cpu, sys, power);
+/// One destination candidate and its ranking key.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    /// Average thermal power of the CPU's core, in watts.
+    cool: f64,
+    nr_running: usize,
+    cpu: CpuId,
+    core: CoreId,
+}
+
+impl Candidate {
+    /// Core coolness first, then prefer idle CPUs, then lower ids for
+    /// determinism. Total, so a NaN thermal power on a degenerate
+    /// machine skews instead of panics.
+    fn key_cmp(&self, other: &Candidate) -> Ordering {
+        self.cool
+            .total_cmp(&other.cool)
+            .then((self.nr_running, self.cpu.0).cmp(&(other.nr_running, other.cpu.0)))
+    }
+}
+
+/// The best two candidates of a CPU set that sit on distinct cores.
+type BestTwo = [Option<Candidate>; 2];
+
+/// A memoised [`BestTwo`] of one (unit, capacity level).
+#[derive(Clone, Copy, Debug, Default)]
+struct Memo {
+    /// Table stamp the entry was computed under (0: never).
+    stamp: u64,
+    /// The unit's [`System::group_gen`] at that time.
+    gen: u64,
+    best: BestTwo,
+}
+
+/// Destination-search state of [`HotTaskMigrator::migrate`]: the
+/// per-tick core-coolness table and the per-group memo described in
+/// the module docs. Derived state only — it is never serialized, and
+/// an engine whose [`System`] is replaced wholesale (a snapshot
+/// restore) calls [`HotSearch::invalidate`].
+#[derive(Clone, Debug)]
+pub struct HotSearch {
+    /// Bumped by every [`HotSearch::refresh`]; memo entries of an
+    /// older stamp are stale.
+    stamp: u64,
+    /// Average thermal power per core, indexed by `CoreId`.
+    coolness: Vec<f64>,
+    /// Capacity level per CPU: an index into `level_caps`. Every CPU
+    /// is on level 0 without a capacity table.
+    cpu_level: Vec<usize>,
+    /// The distinct capacities of the table, in first-seen CPU order.
+    level_caps: Vec<f64>,
+    /// Whether a capacity table ranks the candidates: the gap then
+    /// filters candidates before they compete, so cores whose coolness
+    /// is NaN (which never satisfy the gap) are never memoised.
+    capacity_aware: bool,
+    /// Memo entries per (unit, capacity level), units laid out as all
+    /// cores, then all packages, then all nodes.
+    memo: Vec<Memo>,
+    n_cores: usize,
+    n_packages: usize,
+}
+
+impl HotSearch {
+    /// Creates an empty search state shaped like `topo`. `capacities`
+    /// (one value per CPU) switches on the capacity-aware ranking;
+    /// CPUs of equal capacity share one memo entry per unit, so the
+    /// search costs O(groups × distinct capacities).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacities` does not hold one value per CPU.
+    pub fn new(topo: &Topology, capacities: Option<&[f64]>) -> Self {
+        let (cpu_level, level_caps) = match capacities {
+            None => (vec![0; topo.n_cpus()], vec![1.0]),
+            Some(caps) => {
+                assert_eq!(caps.len(), topo.n_cpus(), "one capacity per CPU");
+                let mut levels: Vec<f64> = Vec::new();
+                let cpu_level = caps
+                    .iter()
+                    .map(
+                        |&cap| match levels.iter().position(|l| l.to_bits() == cap.to_bits()) {
+                            Some(i) => i,
+                            None => {
+                                levels.push(cap);
+                                levels.len() - 1
+                            }
+                        },
+                    )
+                    .collect();
+                (cpu_level, levels)
+            }
         };
-        if !self.triggered(cpu, sys, power) {
-            return None;
+        let units = topo.n_cores() + topo.n_packages() + topo.n_nodes();
+        HotSearch {
+            stamp: 0,
+            coolness: vec![0.0; topo.n_cores()],
+            cpu_level,
+            memo: vec![Memo::default(); units * level_caps.len()],
+            level_caps,
+            capacity_aware: capacities.is_some(),
+            n_cores: topo.n_cores(),
+            n_packages: topo.n_packages(),
         }
-        let hot_task = sys.current(cpu)?;
-        let hot_profile = sys.task(hot_task).profile();
-        let src_thermal = core_avg_thermal(sys.topology(), cpu, power);
-        let min_gap = power.max_power(cpu) * self.cfg.min_gap_fraction;
+    }
 
-        let topo_arc = sys.topology_shared();
-        let topo = &*topo_arc;
-        for domain in topo.domains(cpu) {
-            if domain.flags().share_cpu_power {
+    /// Fills the coolness table from `power` and retires every memo
+    /// entry. Call once after each change of the thermal powers and
+    /// before the next [`HotTaskMigrator::migrate`].
+    pub fn refresh(&mut self, topo: &Topology, power: &PowerState) {
+        self.stamp += 1;
+        for (core, cool) in self.coolness.iter_mut().enumerate() {
+            *cool = core_avg_thermal(topo, CoreId(core), power).0;
+        }
+    }
+
+    /// Forgets every memo entry (the coolness table stays until the
+    /// next refresh).
+    pub fn invalidate(&mut self) {
+        self.memo.fill(Memo::default());
+    }
+
+    /// The best-ranked candidate of `domain` outside `src_core`. With a
+    /// capacity table only candidates whose coolness satisfies `gap`
+    /// compete, ranked by capacity (descending) before the key.
+    fn coolest(
+        &mut self,
+        sys: &System,
+        domain: &SchedDomain,
+        src_core: CoreId,
+        gap: impl Fn(f64) -> bool,
+    ) -> Option<Candidate> {
+        let mut best: Option<(usize, Candidate)> = None;
+        for group in domain.groups() {
+            for level in 0..self.level_caps.len() {
+                let [first, second] = self.best_two(sys, group, level);
+                let pick = if first.is_some_and(|c| c.core == src_core) {
+                    second
+                } else {
+                    first
+                };
+                let Some(cand) = pick else { continue };
+                // Exact per entry: `src - cool >= gap` only turns false
+                // as the (non-NaN) coolness grows, so when the coolest
+                // CPU of a (group, level) fails it, all of them do.
+                if self.capacity_aware && !gap(cand.cool) {
+                    continue;
+                }
+                let better = best.is_none_or(|(best_level, b)| {
+                    self.level_caps[best_level]
+                        .total_cmp(&self.level_caps[level])
+                        .then(cand.key_cmp(&b))
+                        .is_lt()
+                });
+                if better {
+                    best = Some((level, cand));
+                }
+            }
+        }
+        best.map(|(_, cand)| cand)
+    }
+
+    /// The group's [`BestTwo`] on one capacity level: memoised for
+    /// core, package and node units, scanned for single CPUs and
+    /// untagged groups.
+    fn best_two(&mut self, sys: &System, group: &CpuGroup, level: usize) -> BestTwo {
+        let unit = match group.unit() {
+            Some(GroupUnit::Core(c)) => Some(c.0),
+            Some(GroupUnit::Package(p)) => Some(self.n_cores + p.0),
+            Some(GroupUnit::Node(n)) => Some(self.n_cores + self.n_packages + n.0),
+            Some(GroupUnit::Cpu(_)) | None => None,
+        };
+        let (Some(unit), Some(gen)) = (unit, sys.group_gen(group)) else {
+            return self.scan(sys, group.cpus(), level);
+        };
+        let slot = unit * self.level_caps.len() + level;
+        let memo = self.memo[slot];
+        if memo.stamp == self.stamp && memo.gen == gen {
+            return memo.best;
+        }
+        let best = self.scan(sys, group.cpus(), level);
+        self.memo[slot] = Memo {
+            stamp: self.stamp,
+            gen,
+            best,
+        };
+        best
+    }
+
+    /// The best two distinct-core candidates among `cpus` on `level`.
+    fn scan(&self, sys: &System, cpus: &[CpuId], level: usize) -> BestTwo {
+        let topo = sys.topology();
+        let mut best: BestTwo = [None, None];
+        for &cpu in cpus {
+            if self.cpu_level[cpu.0] != level {
                 continue;
             }
-            // Only gap-satisfying candidates compete, ranked capacity
-            // first (descending), then the legacy key.
-            let candidate = domain
-                .span()
-                .filter(|&c| !topo.same_core(c, cpu))
-                .filter(|&c| src_thermal - core_avg_thermal(topo, c, power) >= min_gap)
-                .min_by(|&a, &b| {
-                    let ka = candidate_key(topo, sys, power, a);
-                    let kb = candidate_key(topo, sys, power, b);
-                    caps[b.0]
-                        .total_cmp(&caps[a.0])
-                        .then(ka.0.total_cmp(&kb.0))
-                        .then((ka.1, ka.2).cmp(&(kb.1, kb.2)))
-                });
-            let Some(dest) = candidate else {
-                continue; // Ascend one level.
-            };
-            if sys.rq(dest).is_idle() {
-                sys.migrate_running(cpu, dest, MigrationReason::HotTask)
-                    .expect("triggered CPU has a running task");
-                return Some(HotMigration::ToIdle {
-                    task: hot_task,
-                    dest,
-                });
+            let core = topo.core_of(cpu);
+            let cool = self.coolness[core.0];
+            if self.capacity_aware && cool.is_nan() {
+                continue;
             }
-            if sys.rq(dest).nr_running() == 1 {
-                if let Some(cool_task) = sys.current(dest) {
-                    if sys.task(cool_task).profile() + self.cfg.exchange_margin <= hot_profile {
-                        sys.migrate_running(dest, cpu, MigrationReason::Exchange)
-                            .expect("destination has a running task");
-                        sys.migrate_running(cpu, dest, MigrationReason::HotTask)
-                            .expect("source still has its running task");
-                        return Some(HotMigration::Exchanged {
-                            task: hot_task,
-                            dest,
-                            cool_task,
-                        });
+            let cand = Candidate {
+                cool,
+                nr_running: sys.rq(cpu).nr_running(),
+                cpu,
+                core,
+            };
+            match best[0] {
+                None => best[0] = Some(cand),
+                Some(first) if cand.key_cmp(&first).is_lt() => {
+                    // The old first becomes the runner-up unless it
+                    // shares the new winner's core, in which case the
+                    // old runner-up (on another core) stays.
+                    if first.core != cand.core {
+                        best[1] = Some(first);
+                    }
+                    best[0] = Some(cand);
+                }
+                Some(first) => {
+                    if first.core != cand.core
+                        && best[1].is_none_or(|second| cand.key_cmp(&second).is_lt())
+                    {
+                        best[1] = Some(cand);
                     }
                 }
             }
         }
-        None
+        best
     }
 }
 
-/// All logical CPUs of `cpu`'s package (including `cpu`).
-fn package_cpus(topo: &Topology, cpu: CpuId) -> Vec<CpuId> {
-    topo.cpus_of_package(topo.package_of(cpu))
-}
-
-/// Per-logical-CPU average thermal power of `cpu`'s core — the
-/// coolness metric for destination candidates. Judging per core
-/// prevents "cool" idle siblings of hot cores from attracting the
-/// task. On single-core packages (the paper's machine) this equals
-/// the package average.
-fn core_avg_thermal(topo: &Topology, cpu: CpuId, power: &PowerState) -> Watts {
-    let core = topo.cpus_of_core(topo.core_of(cpu));
-    power.thermal_power_sum(&core) / core.len() as f64
-}
-
-/// Sort key for destination candidates: core coolness first, then
-/// prefer idle CPUs, then lower ids for determinism.
-fn candidate_key(
-    topo: &Topology,
-    sys: &System,
-    power: &PowerState,
-    cpu: CpuId,
-) -> (f64, usize, usize) {
-    (
-        core_avg_thermal(topo, cpu, power).0,
-        sys.rq(cpu).nr_running(),
-        cpu.0,
-    )
+/// Per-logical-CPU average thermal power of a core — the coolness
+/// metric for destination candidates. Judging per core prevents "cool"
+/// idle siblings of hot cores from attracting the task. On
+/// single-core packages (the paper's machine) this equals the package
+/// average.
+fn core_avg_thermal(topo: &Topology, core: CoreId, power: &PowerState) -> Watts {
+    let sum: Watts = topo
+        .threads_of_core(core)
+        .map(|c| power.thermal_power(c))
+        .sum();
+    sum / topo.threads_per_core() as f64
 }
 
 #[cfg(test)]
@@ -465,9 +660,9 @@ mod tests {
             matches!(legacy, HotMigration::ToIdle { dest, .. } if dest == CpuId(1)),
             "legacy search should pick the coolest CPU: {legacy:?}"
         );
-        let aware = m
-            .run_with_capacities(CpuId(0), &mut sys, &power, Some(&caps))
-            .unwrap();
+        let mut search = HotSearch::new(sys.topology(), Some(&caps));
+        search.refresh(sys.topology(), &power);
+        let aware = m.migrate(CpuId(0), &mut sys, &power, &mut search).unwrap();
         match aware {
             HotMigration::ToIdle { task, dest } => {
                 assert_eq!(task, hot);

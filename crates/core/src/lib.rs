@@ -33,7 +33,7 @@ mod placement;
 
 pub use energy_balance::{EnergyAwareBalancer, EnergyBalanceConfig};
 pub use estimator::EnergyEstimator;
-pub use hot_migration::{HotMigration, HotTaskConfig, HotTaskMigrator};
+pub use hot_migration::{HotMigration, HotSearch, HotTaskConfig, HotTaskMigrator};
 pub use metrics::{
     group_runqueue_ratio, runqueue_power, runqueue_power_ratio, GroupRatioCache, PowerState,
     PowerStateConfig,

@@ -2,12 +2,15 @@
 
 use ebs_core::{
     group_runqueue_ratio, place_new_task, runqueue_power, EnergyAwareBalancer, EnergyBalanceConfig,
-    GroupRatioCache, HotTaskConfig, HotTaskMigrator, PowerState, PowerStateConfig,
+    GroupRatioCache, HotMigration, HotSearch, HotTaskConfig, HotTaskMigrator, PowerState,
+    PowerStateConfig,
 };
-use ebs_sched::{System, TaskConfig};
-use ebs_topology::{CpuId, Topology};
+use ebs_sched::{MigrationReason, System, TaskConfig, TaskId};
+use ebs_store::Snapshot as _;
+use ebs_topology::{CpuId, Topology, TopologyPreset};
 use ebs_units::{SimDuration, SimTime, Watts};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 fn spawn(sys: &mut System, cpu: usize, watts: f64) {
     sys.spawn(
@@ -27,6 +30,349 @@ fn heated(n: usize, budget: f64, temps: &[f64]) -> PowerState {
         }
     }
     ps
+}
+
+/// The hot-task destination search as a span scan: each domain's
+/// candidate is the minimum over its whole span, every key recomputed
+/// from `power`. This is the search `HotTaskMigrator` ran before the
+/// coolness table and the per-group memo, kept as the oracle the
+/// memoised search must agree with.
+fn span_scan_run(
+    cfg: HotTaskConfig,
+    cpu: CpuId,
+    sys: &mut System,
+    power: &PowerState,
+    caps: Option<&[f64]>,
+) -> Option<HotMigration> {
+    if !HotTaskMigrator::new(cfg).triggered(cpu, sys, power) {
+        return None;
+    }
+    let hot_task = sys.current(cpu)?;
+    let hot_profile = sys.task(hot_task).profile();
+    let topo = sys.topology_shared();
+    let coolness = |c: CpuId| {
+        let core = topo.cpus_of_core(topo.core_of(c));
+        power.thermal_power_sum(&core) / core.len() as f64
+    };
+    let src_thermal = coolness(cpu);
+    let min_gap = power.max_power(cpu) * cfg.min_gap_fraction;
+    for domain in topo.domains(cpu) {
+        if domain.flags().share_cpu_power {
+            continue;
+        }
+        let view: &System = sys;
+        let key = |c: CpuId| (coolness(c).0, view.rq(c).nr_running(), c.0);
+        let candidate = domain
+            .span()
+            .filter(|&c| !topo.same_core(c, cpu))
+            .filter(|&c| caps.is_none() || src_thermal - coolness(c) >= min_gap)
+            .min_by(|&a, &b| {
+                let (ka, kb) = (key(a), key(b));
+                caps.map_or(Ordering::Equal, |caps| caps[b.0].total_cmp(&caps[a.0]))
+                    .then(ka.0.total_cmp(&kb.0))
+                    .then((ka.1, ka.2).cmp(&(kb.1, kb.2)))
+            });
+        let Some(dest) = candidate else {
+            continue;
+        };
+        if caps.is_none() && src_thermal - coolness(dest) < min_gap {
+            continue;
+        }
+        if sys.rq(dest).is_idle() {
+            sys.migrate_running(cpu, dest, MigrationReason::HotTask)
+                .unwrap();
+            return Some(HotMigration::ToIdle {
+                task: hot_task,
+                dest,
+            });
+        }
+        if sys.rq(dest).nr_running() == 1 {
+            if let Some(cool_task) = sys.current(dest) {
+                if sys.task(cool_task).profile() + cfg.exchange_margin <= hot_profile {
+                    sys.migrate_running(dest, cpu, MigrationReason::Exchange)
+                        .unwrap();
+                    sys.migrate_running(cpu, dest, MigrationReason::HotTask)
+                        .unwrap();
+                    return Some(HotMigration::Exchanged {
+                        task: hot_task,
+                        dest,
+                        cool_task,
+                    });
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Thermal powers the search tests heat CPUs to. Repeated values give
+/// bit-equal core coolness, so ties are common.
+const PALETTE: [f64; 8] = [0.0, 6.8, 6.8, 20.0, 35.0, 47.0, 61.0, 75.0];
+
+fn hot_shape(idx: usize) -> Topology {
+    [
+        TopologyPreset::Numa64,
+        TopologyPreset::XSeries445 { smt: true },
+        TopologyPreset::Hybrid8,
+        TopologyPreset::BigLittle16,
+    ][idx]
+        .build()
+}
+
+/// Per-CPU capacities: by class on hybrid shapes, by core parity on
+/// homogeneous ones (so the capacity-aware ranking has two levels to
+/// order everywhere).
+fn capacities(topo: &Topology) -> Vec<f64> {
+    topo.cpu_ids()
+        .map(|c| {
+            let little = if topo.is_hybrid() {
+                topo.class_of(c).0 == 1
+            } else {
+                topo.core_of(c).0 % 2 == 1
+            };
+            if little {
+                0.55
+            } else {
+                1.0
+            }
+        })
+        .collect()
+}
+
+fn heat_to(power: &mut PowerState, cpu: CpuId, watts: f64) {
+    for _ in 0..400 {
+        power.observe(cpu, Watts(watts), SimDuration::from_millis(100));
+    }
+}
+
+fn system_hash(sys: &System) -> u64 {
+    let mut w = ebs_store::StateWriter::new();
+    sys.save(&mut w);
+    w.finish().hash()
+}
+
+/// Runs the hot-task policy on every CPU in order, as the engine's
+/// tick does, through the span-scan oracle on `oracle` and the
+/// memoised search on `memo`, context switching the CPUs a migration
+/// touched on both. Returns the first disagreement.
+fn sweep(
+    cfg: HotTaskConfig,
+    oracle: &mut System,
+    memo: &mut System,
+    power: &PowerState,
+    search: &mut HotSearch,
+    caps: Option<&[f64]>,
+) -> Result<usize, String> {
+    let migrator = HotTaskMigrator::new(cfg);
+    let mut acted = 0;
+    for c in 0..oracle.topology().n_cpus() {
+        let cpu = CpuId(c);
+        let expected = span_scan_run(cfg, cpu, oracle, power, caps);
+        let got = if migrator.triggered(cpu, memo, power) {
+            migrator.migrate(cpu, memo, power, search)
+        } else {
+            None
+        };
+        if expected != got {
+            return Err(format!("cpu {c}: span scan {expected:?}, memo {got:?}"));
+        }
+        if let Some(m) = got {
+            acted += 1;
+            let dest = match m {
+                HotMigration::ToIdle { dest, .. } | HotMigration::Exchanged { dest, .. } => dest,
+            };
+            for sys in [&mut *oracle, &mut *memo] {
+                sys.context_switch(dest);
+                sys.context_switch(cpu);
+            }
+        }
+    }
+    Ok(acted)
+}
+
+/// The memoised search of the deterministic tests below, on a fresh
+/// table.
+fn fresh_search(topo: &Topology, power: &PowerState, caps: Option<&[f64]>) -> HotSearch {
+    let mut search = HotSearch::new(topo, caps);
+    search.refresh(topo, power);
+    search
+}
+
+/// All cores equally cool and a zero gap: from CPU 0 of the SMT
+/// testbed, the source core is the best entry of its package group
+/// (lowest id on a tie), so the search must skip to the next package
+/// rather than pick the source core or the source's sibling.
+#[test]
+fn memoised_search_excludes_the_source_core_on_ties() {
+    let topo = Topology::xseries445(true);
+    let mut sys = System::new(topo.clone());
+    spawn(&mut sys, 0, 61.0);
+    sys.context_switch(CpuId(0));
+    let mut power = PowerState::uniform(16, Watts(3.0), PowerStateConfig::default());
+    for c in 0..16 {
+        heat_to(&mut power, CpuId(c), 6.8);
+    }
+    let cfg = HotTaskConfig {
+        min_gap_fraction: 0.0,
+        ..HotTaskConfig::default()
+    };
+    let mut oracle = sys.clone();
+    let expected = span_scan_run(cfg, CpuId(0), &mut oracle, &power, None);
+    let mut search = fresh_search(&topo, &power, None);
+    let got = HotTaskMigrator::new(cfg).migrate(CpuId(0), &mut sys, &power, &mut search);
+    assert_eq!(got, expected);
+    assert!(
+        matches!(got, Some(HotMigration::ToIdle { dest, .. }) if dest == CpuId(1)),
+        "expected the next package's first CPU: {got:?}"
+    );
+    assert_eq!(system_hash(&sys), system_hash(&oracle));
+}
+
+/// A NaN thermal power sorts by `total_cmp` like any other value. The
+/// source's node is hot, so the search reaches the top level, where
+/// the other node holds a NaN CPU (4) and cool ones (5-7):
+/// - legacy, negative NaN: CPU 4 is the "coolest" key and a NaN gap
+///   passes the `src - dest < gap` test, so the task moves there;
+/// - legacy, positive NaN: CPU 4 sorts last, CPU 5 wins;
+/// - capacity-aware: NaN never satisfies the gap, so CPU 6, the cool
+///   CPU on the higher capacity level, wins either way.
+#[test]
+fn memoised_search_orders_nan_like_the_span_scan() {
+    let topo = Topology::xseries445(false);
+    for nan in [f64::NAN, -f64::NAN] {
+        for caps in [None, Some(capacities(&topo))] {
+            let mut sys = System::new(topo.clone());
+            spawn(&mut sys, 0, 61.0);
+            sys.context_switch(CpuId(0));
+            let mut power = PowerState::uniform(8, Watts(47.0), PowerStateConfig::default());
+            for c in 0..8 {
+                heat_to(&mut power, CpuId(c), if c < 4 { 61.0 } else { 20.0 });
+            }
+            power.observe(CpuId(4), Watts(nan), SimDuration::from_millis(100));
+            let mut oracle = sys.clone();
+            let expected = span_scan_run(
+                HotTaskConfig::default(),
+                CpuId(0),
+                &mut oracle,
+                &power,
+                caps.as_deref(),
+            );
+            let mut search = fresh_search(&topo, &power, caps.as_deref());
+            let got = HotTaskMigrator::default().migrate(CpuId(0), &mut sys, &power, &mut search);
+            assert_eq!(got, expected, "{nan:?}, capacities {caps:?}");
+            let dest = match (caps.is_some(), nan.is_sign_negative()) {
+                (true, _) => 6,
+                (false, true) => 4,
+                (false, false) => 5,
+            };
+            assert!(
+                matches!(got, Some(HotMigration::ToIdle { dest: d, .. }) if d == CpuId(dest)),
+                "{nan:?}, capacities {caps:?}: expected CPU {dest}, got {got:?}"
+            );
+            assert_eq!(system_hash(&sys), system_hash(&oracle));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The memoised destination search returns the same decision and
+    /// leaves the same `System` as the span scan, across shapes with
+    /// and without SMT and capacity levels, bit-equal coolness ties, a
+    /// zero gap (where source-core exclusion decides), NaN thermal
+    /// powers, and migrations, blocks, wakes, spawns, context switches
+    /// and re-heats between searches — the last keep a single
+    /// `HotSearch` alive, so any memo entry that outlived a change of
+    /// its unit would show.
+    #[test]
+    fn memoised_hot_search_matches_span_scan(
+        shape in 0usize..4,
+        capacity_aware in any::<bool>(),
+        knobs in (0usize..3, 12.0f64..30.0, 0usize..256, 0usize..3),
+        temps in prop::collection::vec(0usize..8, 256),
+        loads in prop::collection::vec((0usize..3, 10.0f64..75.0), 256),
+        script in prop::collection::vec((0usize..7, 0usize..256, 0usize..256, 0usize..8), 1..40),
+    ) {
+        let (gap_idx, budget, nan_cpu, nan_kind) = knobs;
+        let topo = hot_shape(shape);
+        let n = topo.n_cpus();
+        let caps = capacity_aware.then(|| capacities(&topo));
+        let cfg = HotTaskConfig {
+            min_gap_fraction: [0.0, 0.1, 0.2][gap_idx],
+            ..HotTaskConfig::default()
+        };
+        let mut memo = System::new(topo.clone());
+        let mut power = PowerState::uniform(n, Watts(budget), PowerStateConfig::default());
+        for c in 0..n {
+            let (tasks, watts) = loads[c];
+            for _ in 0..tasks {
+                spawn(&mut memo, c, watts);
+            }
+            memo.context_switch(CpuId(c));
+            heat_to(&mut power, CpuId(c), PALETTE[temps[c]]);
+        }
+        if nan_kind > 0 {
+            let nan = if nan_kind == 1 { f64::NAN } else { -f64::NAN };
+            power.observe(CpuId(nan_cpu % n), Watts(nan), SimDuration::from_millis(100));
+        }
+        let mut oracle = memo.clone();
+        let mut search = fresh_search(&topo, &power, caps.as_deref());
+        let mut blocked: Vec<TaskId> = Vec::new();
+        for (op, a, b, t) in script {
+            let (a, b) = (CpuId(a % n), CpuId(b % n));
+            match op {
+                0 => {
+                    let r = sweep(cfg, &mut oracle, &mut memo, &power, &mut search, caps.as_deref());
+                    prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+                }
+                1 => {
+                    let queued = memo.rq(a).iter_migration_candidates().next();
+                    if let Some(id) = queued {
+                        for sys in [&mut oracle, &mut memo] {
+                            let _ = sys.migrate_queued(id, b, MigrationReason::LoadBalance);
+                        }
+                    }
+                }
+                2 => {
+                    if memo.current(a).is_some() {
+                        let id = memo.block_current(a);
+                        oracle.block_current(a);
+                        blocked.extend(id);
+                    }
+                }
+                3 => {
+                    if let Some(id) = blocked.pop() {
+                        for sys in [&mut oracle, &mut memo] {
+                            sys.wake(id, Some(b));
+                        }
+                    }
+                }
+                4 => {
+                    for sys in [&mut oracle, &mut memo] {
+                        spawn(sys, a.0, PALETTE[t] + 1.0);
+                        sys.context_switch(a);
+                    }
+                }
+                5 => {
+                    // A new tick: thermal powers move, the table is
+                    // refilled.
+                    heat_to(&mut power, a, PALETTE[t]);
+                    search.refresh(&topo, &power);
+                }
+                _ => {
+                    for sys in [&mut oracle, &mut memo] {
+                        sys.context_switch(a);
+                    }
+                }
+            }
+            prop_assert_eq!(system_hash(&memo), system_hash(&oracle));
+        }
+        let r = sweep(cfg, &mut oracle, &mut memo, &power, &mut search, caps.as_deref());
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+        prop_assert_eq!(system_hash(&memo), system_hash(&oracle));
+        memo.validate();
+    }
 }
 
 proptest! {

@@ -25,8 +25,8 @@ use crate::machine::PhysicalMachine;
 use crate::runtime::{TaskRuntime, WarmthModel};
 use crate::trace::{LatencyStats, SimReport, TaskCpuTrace, ThermalTrace};
 use ebs_core::{
-    place_new_task_capacity, EnergyAwareBalancer, EnergyEstimator, HotTaskConfig, HotTaskMigrator,
-    PlacementTable, PowerState, PowerStateConfig,
+    place_new_task_capacity, EnergyAwareBalancer, EnergyEstimator, HotSearch, HotTaskConfig,
+    HotTaskMigrator, PlacementTable, PowerState, PowerStateConfig,
 };
 use ebs_counters::{calibration, EnergyModel};
 use ebs_dvfs::{DecisionHold, Governor, GovernorInput, PStateResidency};
@@ -252,6 +252,10 @@ pub struct Simulation {
     estimator: EnergyEstimator,
     balancer: Balancer,
     hot: HotTaskMigrator,
+    /// Destination-search state of `hot`: the core-coolness table,
+    /// refilled each tick a package passes the hot pre-screen, and the
+    /// per-group memo. Derived state, never serialized.
+    hot_search: HotSearch,
     placement: PlacementTable,
     warmth: WarmthModel,
     /// Per-domain frequency governors (empty when DVFS is disabled).
@@ -483,12 +487,14 @@ impl Simulation {
             .clone()
             .map(|spec| ArrivalProcess::new(spec, cfg.seed));
         let n_packages = pkg_cpus.len();
+        let hot_search = HotSearch::new(sys.topology(), capacities.as_deref());
         Simulation {
             sys,
             power,
             estimator,
             balancer,
             hot: HotTaskMigrator::new(HotTaskConfig::default()),
+            hot_search,
             placement: PlacementTable::new(Watts(30.0)),
             warmth,
             governors,
@@ -1646,19 +1652,23 @@ impl Simulation {
     /// Scheduler work for one tick: timeslices, completions, blocking,
     /// the balancing policies, and hot task migration.
     fn scheduler_tick(&mut self, dt: SimDuration, completed: &[CpuId]) {
-        // Hot-task pre-screen, once per package: the full trigger test
-        // re-sums the package thermal power for every CPU; packages
-        // below the trigger fraction can skip it wholesale. The
-        // comparison is exactly the one `HotTaskMigrator::triggered`
-        // performs (same CPU list, same float sum), so the screen
-        // never changes a decision.
+        // Hot-task pre-screen, once per package: the package half of
+        // `HotTaskMigrator::triggered` (same CPU list, same float sum),
+        // so `hot_check` only adds the queue half. Thermal powers are
+        // fixed until the next physics phase, so when any package is
+        // hot the destination search's coolness table is filled once
+        // here for the whole tick.
         if self.cfg.hot_task_migration {
-            let trigger = self.hot.config().trigger_fraction;
+            let mut any_hot = false;
             for pkg in 0..self.pkg_cpus.len() {
                 let cpus = &self.pkg_cpus[pkg];
                 let thermal = self.power.thermal_power_sum(cpus);
                 let budget = self.power.max_power_sum(cpus);
-                self.hot_scratch[pkg] = thermal.0 >= budget.0 * trigger;
+                self.hot_scratch[pkg] = self.hot.package_hot(thermal, budget);
+                any_hot |= self.hot_scratch[pkg];
+            }
+            if any_hot {
+                self.hot_search.refresh(self.sys.topology(), &self.power);
             }
         }
         // Task completions first: they free CPUs and may respawn.
@@ -1778,21 +1788,21 @@ impl Simulation {
         }
     }
 
-    /// Runs the hot-task policy for `cpu`; performs the context
-    /// switches its migrations require.
+    /// Runs the hot-task policy for `cpu`, whose package passed this
+    /// tick's pre-screen; performs the context switches its migrations
+    /// require.
     fn hot_check(&mut self, cpu: CpuId) -> Option<()> {
-        if !self.hot.triggered(cpu, &self.sys, &self.power) {
+        // The queue half of the trigger.
+        let rq = self.sys.rq(cpu);
+        if rq.nr_running() != 1 || rq.current().is_none() {
             return None;
         }
         // The running task is about to move: close its accounting
         // interval first.
         self.finalize_interval(cpu);
-        let migration = self.hot.run_with_capacities(
-            cpu,
-            &mut self.sys,
-            &self.power,
-            self.capacities.as_deref(),
-        )?;
+        let migration = self
+            .hot
+            .migrate(cpu, &mut self.sys, &self.power, &mut self.hot_search)?;
         match migration {
             ebs_core::HotMigration::ToIdle { dest, .. } => {
                 // Source went idle; destination dispatches the task.
@@ -2019,24 +2029,20 @@ impl Simulation {
     /// Summarises the run.
     pub fn report(&self) -> SimReport {
         let stats = self.sys.stats();
-        // Per-logical view of the per-package throttle statistics.
-        let throttled: Vec<f64> = (0..self.n_cpus())
-            .map(|c| {
-                let pkg = self.sys.topology().package_of(CpuId(c)).0;
-                self.machine.throttles[pkg].stats().throttled_fraction()
-            })
-            .collect();
-        let avg = if throttled.is_empty() {
-            0.0
-        } else {
-            throttled.iter().sum::<f64>() / throttled.len() as f64
-        };
         let mut completions_by_binary: Vec<(u64, u64)> =
             self.completions.iter().map(|(&b, &n)| (b, n)).collect();
         completions_by_binary.sort_unstable();
         // Per-package throttle statistics, surfaced directly so
         // experiments stop recomputing them from per-logical views.
         let throttle_stats: Vec<_> = self.machine.throttles.iter().map(|t| t.stats()).collect();
+        let avg_throttled_fraction = match self.n_cpus() {
+            0 => 0.0,
+            n => {
+                crate::trace::cpu_throttled_fractions(&throttle_stats, self.sys.topology())
+                    .sum::<f64>()
+                    / n as f64
+            }
+        };
         // P-state residency aggregated over the per-domain tables. On
         // single-class machines the tables are identical, so the
         // legacy state-wise sum applies verbatim; hybrid machines
@@ -2134,8 +2140,7 @@ impl Simulation {
             } else {
                 self.instructions as f64 / self.now.as_secs_f64()
             },
-            throttled_fraction: throttled,
-            avg_throttled_fraction: avg,
+            avg_throttled_fraction,
             throttle_stats,
             pstate_residency,
             avg_scaled_fraction,
@@ -2312,6 +2317,9 @@ impl ebs_store::Snapshot for Simulation {
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         r.key("engine")?;
         self.sys.restore(r)?;
+        // Unit generations restart from the image's values, so memo
+        // entries of the replaced system could match them by accident.
+        self.hot_search.invalidate();
         self.machine.restore(r)?;
         r.key("policies")?;
         self.power.restore(r)?;

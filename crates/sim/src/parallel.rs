@@ -445,14 +445,18 @@ impl ParallelSimulation {
                 _ => Vec::new(),
             }
         };
-        let throttled_fraction: Vec<f64> = reports
-            .iter()
-            .flat_map(|r| r.throttled_fraction.iter().copied())
-            .collect();
-        let avg_throttled_fraction = if throttled_fraction.is_empty() {
+        // Every partition's logical CPUs in partition order, each
+        // counting its package's throttled fraction.
+        let n_cpus: usize = self.shards.iter().map(|s| s.n_cpus()).sum();
+        let avg_throttled_fraction = if n_cpus == 0 {
             0.0
         } else {
-            throttled_fraction.iter().sum::<f64>() / throttled_fraction.len() as f64
+            self.shards
+                .iter()
+                .zip(&reports)
+                .flat_map(|(s, r)| r.cpu_throttled_fractions(s.system().topology()))
+                .sum::<f64>()
+                / n_cpus as f64
         };
         let n = reports.len() as f64;
         let instructions_retired: u64 = reports.iter().map(|r| r.instructions_retired).sum();
@@ -473,7 +477,6 @@ impl ParallelSimulation {
             } else {
                 instructions_retired as f64 / duration.as_secs_f64()
             },
-            throttled_fraction,
             avg_throttled_fraction,
             throttle_stats: reports
                 .iter()

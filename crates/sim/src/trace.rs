@@ -3,7 +3,7 @@
 use ebs_dvfs::PStateResidency;
 use ebs_sched::TaskId;
 use ebs_thermal::ThrottleStats;
-use ebs_topology::CpuId;
+use ebs_topology::{CpuId, Topology};
 use ebs_units::{Celsius, Hertz, Joules, SimDuration, SimTime, Watts};
 
 /// Sampled per-CPU thermal power over time — the data behind the
@@ -214,9 +214,9 @@ pub struct SimReport {
     pub instructions_retired: u64,
     /// Instructions per simulated second.
     pub throughput_ips: f64,
-    /// Fraction of time each logical CPU spent throttled (Table 3).
-    pub throttled_fraction: Vec<f64>,
-    /// Average throttled fraction over all CPUs.
+    /// Average throttled fraction over all logical CPUs (each CPU
+    /// counting its package's fraction; see
+    /// [`SimReport::cpu_throttled_fractions`]).
     pub avg_throttled_fraction: f64,
     /// Per-package throttle statistics (engagements, throttled and
     /// observed time) straight from the controllers.
@@ -247,7 +247,28 @@ pub struct SimReport {
     pub estimated_energy: Joules,
 }
 
+/// Fraction of time each logical CPU of `topo` spent throttled: the
+/// fraction of the package it belongs to, in CPU order.
+pub(crate) fn cpu_throttled_fractions<'a>(
+    throttle_stats: &'a [ThrottleStats],
+    topo: &'a Topology,
+) -> impl Iterator<Item = f64> + 'a {
+    topo.cpu_ids()
+        .map(|c| throttle_stats[topo.package_of(c).0].throttled_fraction())
+}
+
 impl SimReport {
+    /// Fraction of time each logical CPU spent throttled (Table 3), in
+    /// CPU order. Throttling acts per package, so this is the per-CPU
+    /// view of [`SimReport::throttle_stats`]; `topo` must be the shape
+    /// of the machine the report came from.
+    pub fn cpu_throttled_fractions<'a>(
+        &'a self,
+        topo: &'a Topology,
+    ) -> impl Iterator<Item = f64> + 'a {
+        cpu_throttled_fractions(&self.throttle_stats, topo)
+    }
+
     /// Relative end-to-end energy estimation error, `|est - true| /
     /// true` (zero for an empty run).
     pub fn estimation_error(&self) -> f64 {
@@ -308,12 +329,6 @@ impl SimReport {
             && self.completions_by_binary == other.completions_by_binary
             && self.instructions_retired == other.instructions_retired
             && f(self.throughput_ips, other.throughput_ips)
-            && self.throttled_fraction.len() == other.throttled_fraction.len()
-            && self
-                .throttled_fraction
-                .iter()
-                .zip(&other.throttled_fraction)
-                .all(|(&a, &b)| f(a, b))
             && f(self.avg_throttled_fraction, other.avg_throttled_fraction)
             && self.throttle_stats == other.throttle_stats
             && self.pstate_residency.len() == other.pstate_residency.len()
@@ -430,7 +445,6 @@ mod tests {
             completions_by_binary: vec![],
             instructions_retired: 0,
             throughput_ips: 0.0,
-            throttled_fraction: vec![],
             avg_throttled_fraction: 0.0,
             throttle_stats: vec![],
             pstate_residency: vec![],
@@ -480,7 +494,6 @@ mod tests {
             completions_by_binary: vec![],
             instructions_retired: 0,
             throughput_ips: ips,
-            throttled_fraction: vec![],
             avg_throttled_fraction: 0.0,
             throttle_stats: vec![],
             pstate_residency: vec![],

@@ -137,6 +137,7 @@ fn throttle_duty_cycle_survives_strides() {
             .seed(5)
     };
     let duration = SimDuration::from_secs(40);
+    let topo = cfg().topology_builder().build();
     let run_one = |cfg: SimConfig| {
         let mut sim = Simulation::new(cfg);
         sim.spawn_program(&catalog::bitcnts());
@@ -146,7 +147,7 @@ fn throttle_duty_cycle_survives_strides() {
     let fixed = run_one(cfg());
     let strided = run_one(cfg().strided());
     // Only the package running bitcnts throttles; compare that one.
-    let hot = |r: &SimReport| r.throttled_fraction.iter().cloned().fold(0.0_f64, f64::max);
+    let hot = |r: &SimReport| r.cpu_throttled_fractions(&topo).fold(0.0_f64, f64::max);
     assert!(
         hot(&fixed) > 0.15,
         "scenario must actually throttle: {}",

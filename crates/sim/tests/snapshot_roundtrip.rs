@@ -14,12 +14,13 @@
 //! warm-up/measurement split.
 
 use ebs_dvfs::GovernorKind;
+use ebs_sched::MigrationReason;
 use ebs_sim::{
     report_fingerprint, MaxPowerSpec, ParallelSimulation, SimConfig, SimEngine, Simulation,
 };
 use ebs_topology::TopologyPreset;
-use ebs_units::{SimDuration, Watts};
-use ebs_workloads::{catalog, LoadCurve, OpenWorkload};
+use ebs_units::{Celsius, SimDuration, Watts};
+use ebs_workloads::{catalog, section61_mix, LoadCurve, OpenWorkload};
 use proptest::prelude::*;
 
 fn preset(idx: usize) -> TopologyPreset {
@@ -213,4 +214,57 @@ fn cross_policy_forks_are_deterministic() {
             "governor {governor_idx} fork not deterministic"
         );
     }
+}
+
+/// The hot-task destination search keeps a per-tick coolness table and
+/// a per-group memo beside the engine's state. Both are derived and
+/// never serialized, so they must be invisible to snapshots. On Table 3
+/// scaled to numa64 (warmed with hot-task migration off, then forked
+/// with it on, where it fires on every step):
+/// - resuming from a mid-run image ends in the same state as the
+///   straight run;
+/// - restoring that image into an engine that has already searched
+///   from a later state (its memo populated) does too;
+/// - a restored engine re-snapshots to the image's exact hash.
+#[test]
+fn hot_search_memo_is_invisible_to_snapshots() {
+    const COOLING: [f64; 8] = [1.25, 0.62, 0.65, 1.28, 0.85, 0.60, 0.63, 0.66];
+    let cfg = SimConfig::with_topology(TopologyPreset::Numa64.builder())
+        .throttling(true)
+        .cooling_factors((0..64).map(|p| COOLING[p % 8]).collect())
+        .max_power(MaxPowerSpec::FromThermalLimit(Celsius(38.0)))
+        .energy_aware(true)
+        .seed(1)
+        .strided();
+    let mut warm = Simulation::new(cfg.clone().hot_task_migration(false));
+    warm.spawn_mix(&section61_mix(), 64);
+    warm.run_for(SimDuration::from_secs(15));
+    let image = warm.snapshot();
+    let leg = SimDuration::from_secs(1);
+
+    let mut straight = Simulation::from_snapshot(cfg.clone(), &image).expect("fork");
+    straight.run_for(leg);
+    let mid = straight.snapshot();
+    straight.run_for(leg);
+    let hot_idx = MigrationReason::ALL
+        .iter()
+        .position(|&r| r == MigrationReason::HotTask)
+        .unwrap();
+    let hot = straight.report().migrations_by_reason[hot_idx];
+    assert!(hot > 0, "the window must exercise hot-task migration");
+
+    let mut resumed = Simulation::from_snapshot(cfg.clone(), &mid).expect("fork");
+    assert_eq!(resumed.state_hash(), mid.hash());
+    resumed.run_for(leg);
+    assert_eq!(resumed.state_hash(), straight.state_hash());
+
+    let mut reused = Simulation::from_snapshot(cfg, &image).expect("fork");
+    reused.run_for(leg + SimDuration::from_millis(500));
+    reused
+        .restore_snapshot(&mid)
+        .expect("restore into a used engine");
+    assert_eq!(reused.state_hash(), mid.hash());
+    reused.run_for(leg);
+    assert_eq!(reused.state_hash(), straight.state_hash());
+    assert!(reused.report().bit_eq(&straight.report()));
 }

@@ -283,9 +283,14 @@ impl Topology {
 
     /// The logical CPUs of a core, in thread order.
     pub fn cpus_of_core(&self, core: CoreId) -> Vec<CpuId> {
-        (0..self.threads_per_core)
-            .map(|t| CpuId(core.0 + t * self.n_cores()))
-            .collect()
+        self.threads_of_core(core).collect()
+    }
+
+    /// [`Topology::cpus_of_core`] without the allocation: thread `t`
+    /// of core `g` is CPU `g + t * n_cores`, one stride per thread.
+    pub fn threads_of_core(&self, core: CoreId) -> impl Iterator<Item = CpuId> {
+        let stride = self.n_cores();
+        (0..self.threads_per_core).map(move |t| CpuId(core.0 + t * stride))
     }
 
     /// The cores of a package.
@@ -297,10 +302,14 @@ impl Topology {
 
     /// The logical CPUs of a package, core-major order.
     pub fn cpus_of_package(&self, pkg: PackageId) -> Vec<CpuId> {
-        self.cores_of_package(pkg)
-            .into_iter()
-            .flat_map(|c| self.cpus_of_core(c))
-            .collect()
+        self.threads_of_package(pkg).collect()
+    }
+
+    /// [`Topology::cpus_of_package`] without the allocation, in the
+    /// same core-major order.
+    pub fn threads_of_package(&self, pkg: PackageId) -> impl Iterator<Item = CpuId> + '_ {
+        let first = pkg.0 * self.cores_per_package;
+        (first..first + self.cores_per_package).flat_map(move |c| self.threads_of_core(CoreId(c)))
     }
 
     /// The logical CPUs of a node.

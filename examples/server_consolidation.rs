@@ -12,6 +12,7 @@
 //! ```
 
 use ebs::sim::{MaxPowerSpec, SimConfig, Simulation};
+use ebs::topology::Topology;
 use ebs::units::{Celsius, SimDuration};
 use ebs::workloads::section61_mix;
 
@@ -40,13 +41,17 @@ fn main() {
         "{:>12} {:>14} {:>14}",
         "logical CPU", "throttled(off)", "throttled(on)"
     );
-    for c in 0..16 {
-        if off.throttled_fraction[c] > 0.005 || on.throttled_fraction[c] > 0.005 {
+    let topo = Topology::xseries445(true);
+    let per_cpu = off
+        .cpu_throttled_fractions(&topo)
+        .zip(on.cpu_throttled_fractions(&topo));
+    for (c, (off_frac, on_frac)) in per_cpu.enumerate() {
+        if off_frac > 0.005 || on_frac > 0.005 {
             println!(
                 "{:>12} {:>13.1}% {:>13.1}%",
                 format!("cpu{c}"),
-                off.throttled_fraction[c] * 100.0,
-                on.throttled_fraction[c] * 100.0
+                off_frac * 100.0,
+                on_frac * 100.0
             );
         }
     }

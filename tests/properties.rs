@@ -54,8 +54,8 @@ proptest! {
             .sum();
         prop_assert!(on_queues <= programs.len());
         prop_assert!(report.instructions_retired > 0);
-        for f in &report.throttled_fraction {
-            prop_assert!((0.0..=1.0).contains(f));
+        for f in report.cpu_throttled_fractions(sim.system().topology()) {
+            prop_assert!((0.0..=1.0).contains(&f));
         }
     }
 
