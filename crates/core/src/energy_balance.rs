@@ -24,7 +24,9 @@
 use crate::metrics::{
     group_runqueue_ratio, runqueue_power, runqueue_power_ratio, GroupRatioCache, PowerState,
 };
-use ebs_sched::{busiest_queued_cpu, BalanceOutcome, MigrationReason, System, TaskId};
+use ebs_sched::{
+    busiest_queued_cpu, BalanceOutcome, BalanceTimers, MigrationReason, System, TaskId,
+};
 use ebs_topology::{CpuId, SchedDomain};
 use ebs_units::{SimTime, Watts};
 
@@ -91,7 +93,7 @@ impl EnergyBalanceConfig {
 #[derive(Clone, Debug)]
 pub struct EnergyAwareBalancer {
     cfg: EnergyBalanceConfig,
-    next_balance: Vec<Vec<SimTime>>,
+    timers: BalanceTimers,
     /// Memoised group runqueue-power ratios (see [`GroupRatioCache`]);
     /// only allocated when the aggregate paths are in use, so small
     /// machines on the adaptive default stay allocation-lean.
@@ -111,15 +113,10 @@ impl EnergyAwareBalancer {
     pub fn new(sys: &System, mut cfg: EnergyBalanceConfig) -> Self {
         let aggregates = cfg.resolve_aggregates(sys.topology().n_cpus());
         cfg.use_aggregates = Some(aggregates);
-        let next_balance = sys
-            .topology()
-            .cpu_ids()
-            .map(|c| vec![SimTime::ZERO; sys.topology().domains(c).len()])
-            .collect();
         let ratios = aggregates.then(|| GroupRatioCache::new(sys.topology()));
         EnergyAwareBalancer {
             cfg,
-            next_balance,
+            timers: BalanceTimers::new(sys),
             ratios,
             capacities: None,
         }
@@ -134,7 +131,7 @@ impl EnergyAwareBalancer {
     /// Panics if the table is not one finite positive value per CPU.
     pub fn set_capacities(&mut self, capacities: Option<Vec<f64>>) {
         if let Some(caps) = &capacities {
-            assert_eq!(caps.len(), self.next_balance.len(), "one capacity per CPU");
+            assert_eq!(caps.len(), self.timers.n_cpus(), "one capacity per CPU");
             assert!(
                 caps.iter().all(|c| c.is_finite() && *c > 0.0),
                 "capacities must be finite and positive"
@@ -160,18 +157,9 @@ impl EnergyAwareBalancer {
     }
 
     /// The earliest instant any CPU's domain level is due for a
-    /// periodic balancing pass (see
-    /// [`ebs_sched::LoadBalancer::next_due`]).
+    /// periodic balancing pass (see [`BalanceTimers::next_due`]).
     pub fn next_due(&self) -> SimTime {
-        self.next_balance
-            .iter()
-            .flatten()
-            .copied()
-            .min()
-            // No domain levels at all (degenerate one-CPU machines):
-            // never due, not "due now" — ZERO here would floor a
-            // variable-stride engine to tick steps forever.
-            .unwrap_or(SimTime::from_micros(u64::MAX))
+        self.timers.next_due()
     }
 
     /// Runs the merged algorithm for `cpu` on every domain level whose
@@ -179,15 +167,17 @@ impl EnergyAwareBalancer {
     pub fn run(&mut self, cpu: CpuId, sys: &mut System, power: &PowerState) -> BalanceOutcome {
         let now = sys.now();
         let mut outcome = BalanceOutcome::default();
+        if !self.timers.due(cpu, now) {
+            return outcome;
+        }
         // Shared topology handle: iterating the domain stack while
         // mutating the system, without cloning a domain (whose group
         // lists span O(CPUs) at the top level) every pass.
         let topo = sys.topology_shared();
         for (level, domain) in topo.domains(cpu).iter().enumerate() {
-            if now < self.next_balance[cpu.0][level] {
+            if !self.timers.fire(cpu, level, now, domain.balance_interval()) {
                 continue;
             }
-            self.next_balance[cpu.0][level] = now + domain.balance_interval();
             if self.cfg.energy_step_enabled && !domain.flags().share_cpu_power {
                 outcome.pulled += energy_step(sys, cpu, domain, power, &self.cfg, &mut self.ratios);
             }
@@ -465,24 +455,11 @@ impl ebs_store::Snapshot for EnergyAwareBalancer {
         // The ratio cache is never serialized: its entries are bitwise
         // identical to a fresh member-order scan, so a restored
         // balancer simply starts all-stale and recomputes on demand.
-        w.seq(&self.next_balance, |w, levels| {
-            w.seq(levels, |w, &t| w.time(t));
-        });
+        self.timers.save(w);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        let next_balance = r.seq(|r| r.seq(|r| r.time()))?;
-        if next_balance.len() != self.next_balance.len()
-            || next_balance
-                .iter()
-                .zip(&self.next_balance)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(ebs_store::StoreError::Invalid(
-                "balancer timer table shaped unlike this topology".into(),
-            ));
-        }
-        self.next_balance = next_balance;
+        self.timers.restore(r)?;
         if let Some(ratios) = &mut self.ratios {
             ratios.mark_all_stale();
         }

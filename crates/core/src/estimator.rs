@@ -10,6 +10,21 @@
 //! interval produces no events, so the estimator adds the known halt
 //! power for it — the kernel knows exactly when it was in the idle
 //! loop.
+//!
+//! # Halted-interval fast path
+//!
+//! Most CPUs of a large, lightly loaded machine sit halted through most
+//! steps, and a halted CPU's counter bank does not move. When the bank
+//! still holds exactly the registers of the previous read, the delta
+//! [`CounterSnapshot::since`] would produce is all zeros, and Eq. 1 of
+//! a zero delta is `+0.0` for any model: each finite weight times zero
+//! is `±0.0`, and a sum started at `0.0` that only ever adds `±0.0`
+//! stays `+0.0` (as does its scaling to joules). The interval's
+//! estimate is therefore exactly `0.0 + halt_share.over(halted)`, which
+//! [`EnergyEstimator::account`] returns without forming the delta or
+//! the dot product. The read is still taken ([`CounterBank::snapshot`]
+//! counts it, and the count is saved state), and the stored snapshot
+//! needs no update because it already equals the bank.
 
 use ebs_counters::{CounterBank, CounterSnapshot, EnergyModel};
 use ebs_topology::CpuId;
@@ -112,6 +127,7 @@ impl EnergyEstimator {
     /// # Panics
     ///
     /// Panics if `halted` exceeds `interval` or `cpu` is out of range.
+    #[inline]
     pub fn account(
         &mut self,
         cpu: CpuId,
@@ -121,10 +137,16 @@ impl EnergyEstimator {
     ) -> Joules {
         assert!(halted <= interval, "halted time exceeds the interval");
         let snap = bank.snapshot();
+        let class = self.cpu_class[cpu.0];
+        let halt = self.halt_shares[class].over(halted);
+        if snap == self.last[cpu.0] {
+            // The bank has not moved since the last read: see the
+            // module docs for why this equals the full path.
+            return Joules::ZERO + halt;
+        }
         let delta = snap.since(&self.last[cpu.0]);
         self.last[cpu.0] = snap;
-        let class = self.cpu_class[cpu.0];
-        self.models[class].estimate(&delta) + self.halt_shares[class].over(halted)
+        self.models[class].estimate(&delta) + halt
     }
 
     /// The average power over an accounted interval; convenience for

@@ -14,9 +14,27 @@
 //!   without overheating; CPU-specific because cooling differs.
 //! - The **ratios** of the first two to the third are what the
 //!   balancing policies actually compare.
+//!
+//! # One Eq. 2 weight per step
+//!
+//! Every CPU's thermal-power average uses the same standard period and
+//! weight, and the engine folds every CPU over the same step length.
+//! [`PowerState`] therefore keeps the averages as bare values beside
+//! one [`ExpWeight`] and memoises the effective weight of the last
+//! period it folded, so a step pays one `powf` instead of one per CPU.
+//! This is exact: the memo holds the very `f64` that
+//! [`ExpWeight::effective`] returns for that period (a pure function of
+//! the period), and [`ExpWeight::fold`] is the expression
+//! [`ebs_thermal::ExpAverage::update`] evaluates, so each value moves
+//! by the same bits as a per-CPU `PowerAverage` would. Zero periods
+//! return before the memo is read, as `update` returns before
+//! computing a weight; the memo starts keyed on the zero period and so
+//! can never answer for a real one. Snapshots carry the values alone,
+//! as they always did (the parameters are configuration, the memo is
+//! derived).
 
 use ebs_sched::System;
-use ebs_thermal::PowerAverage;
+use ebs_thermal::ExpWeight;
 use ebs_topology::{CpuGroup, CpuId, GroupUnit, Topology};
 use ebs_units::{SimDuration, Watts};
 
@@ -50,7 +68,13 @@ impl Default for PowerStateConfig {
 /// Per-CPU scheduling metrics state.
 #[derive(Clone, Debug)]
 pub struct PowerState {
-    thermal: Vec<PowerAverage>,
+    /// Thermal power per CPU, in watts (the Eq. 2 average values).
+    thermal: Vec<f64>,
+    /// The weighting rule every CPU's average shares.
+    weight: ExpWeight,
+    /// `(period, effective weight)` of the last fold; see the module
+    /// docs.
+    last_weight: (SimDuration, f64),
     max_power: Vec<Watts>,
     idle_power: Watts,
     /// Bumped when a budget changes; caches of budget-derived values
@@ -68,15 +92,9 @@ impl PowerState {
     pub fn new(n_cpus: usize, max_powers: &[Watts], cfg: PowerStateConfig) -> Self {
         assert_eq!(max_powers.len(), n_cpus, "one max power per CPU required");
         PowerState {
-            thermal: (0..n_cpus)
-                .map(|_| {
-                    PowerAverage::with_time_constant(
-                        cfg.idle_power,
-                        cfg.standard_period,
-                        cfg.time_constant,
-                    )
-                })
-                .collect(),
+            thermal: vec![cfg.idle_power.0; n_cpus],
+            weight: ExpWeight::with_time_constant(cfg.standard_period, cfg.time_constant),
+            last_weight: (SimDuration::ZERO, 0.0),
             max_power: max_powers.to_vec(),
             idle_power: cfg.idle_power,
             budget_gen: 0,
@@ -97,13 +115,22 @@ impl PowerState {
 
     /// Folds an estimated power sample (over `period` of wall time)
     /// into `cpu`'s thermal power.
+    #[inline]
     pub fn observe(&mut self, cpu: CpuId, power: Watts, period: SimDuration) -> Watts {
-        self.thermal[cpu.0].update(power, period)
+        let value = &mut self.thermal[cpu.0];
+        if period.is_zero() {
+            return Watts(*value);
+        }
+        if self.last_weight.0 != period {
+            self.last_weight = (period, self.weight.effective(period));
+        }
+        *value = ExpWeight::fold(self.last_weight.1, power.0, *value);
+        Watts(*value)
     }
 
     /// The thermal power of `cpu` — the scheduler's temperature proxy.
     pub fn thermal_power(&self, cpu: CpuId) -> Watts {
-        self.thermal[cpu.0].watts()
+        Watts(self.thermal[cpu.0])
     }
 
     /// The maximum power of `cpu`.
@@ -304,7 +331,7 @@ impl GroupRatioCache {
 
 impl ebs_store::Snapshot for PowerState {
     fn save(&self, w: &mut ebs_store::StateWriter) {
-        w.seq(&self.thermal, |w, avg| avg.save(w));
+        w.seq(&self.thermal, |w, &v| w.f64(v));
         w.seq(&self.max_power, |w, &p| w.watts(p));
         w.u64(self.budget_gen);
     }
@@ -317,8 +344,8 @@ impl ebs_store::Snapshot for PowerState {
                 self.thermal.len()
             )));
         }
-        for avg in &mut self.thermal {
-            avg.restore(r)?;
+        for v in &mut self.thermal {
+            *v = r.f64()?;
         }
         let n = r.usize()?;
         if n != self.max_power.len() {

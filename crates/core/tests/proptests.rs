@@ -560,3 +560,99 @@ proptest! {
         prop_assert!((actual - expected).abs() < 1e-9, "{actual} vs {expected}");
     }
 }
+
+/// A period sampled for the fold tests: zero, the standard timeslice,
+/// one tick, or anything up to a second (so the weight memo both hits
+/// and misses).
+fn fold_period() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(100_000u64),
+        Just(1_000u64),
+        0u64..1_000_000,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The shared-weight fold of `PowerState` moves every CPU's thermal
+    /// power by exactly the bits a per-CPU `PowerAverage::update`
+    /// would, over any period sequence (zero periods included), and
+    /// saves the same image bytes.
+    #[test]
+    fn power_state_fold_equals_per_cpu_averages(
+        ops in prop::collection::vec((0usize..6, 0.0f64..90.0, fold_period()), 1..120),
+    ) {
+        let cfg = PowerStateConfig::default();
+        let mut ps = PowerState::uniform(6, Watts(60.0), cfg);
+        let mut oracle: Vec<ebs_thermal::PowerAverage> = (0..6)
+            .map(|_| {
+                ebs_thermal::PowerAverage::with_time_constant(
+                    cfg.idle_power,
+                    cfg.standard_period,
+                    cfg.time_constant,
+                )
+            })
+            .collect();
+        for &(cpu, watts, period_us) in &ops {
+            let period = SimDuration::from_micros(period_us);
+            let got = ps.observe(CpuId(cpu), Watts(watts), period);
+            let want = oracle[cpu].update(Watts(watts), period);
+            prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+            for (c, avg) in oracle.iter().enumerate() {
+                prop_assert_eq!(ps.thermal_power(CpuId(c)).0.to_bits(), avg.watts().0.to_bits());
+            }
+        }
+        // Image bytes: the values in CPU order, as the per-CPU averages
+        // wrote them.
+        let mut w = ebs_store::StateWriter::new();
+        ps.save(&mut w);
+        let mut want = ebs_store::StateWriter::new();
+        want.seq(&oracle, |w, avg| avg.save(w));
+        want.seq(&[Watts(60.0); 6], |w, &p| w.watts(p));
+        want.u64(0);
+        let (got, want) = (w.finish(), want.finish());
+        prop_assert_eq!(got.as_bytes(), want.as_bytes());
+    }
+
+    /// The estimator's halted-interval fast path returns the bits the
+    /// full snapshot-diff-estimate path returns, and counts the same
+    /// reads, whatever the model's signs and however the bank moves.
+    #[test]
+    fn estimator_fast_path_equals_full_account(
+        weights in prop::collection::vec(-5.0f64..50.0, ebs_counters::N_EVENTS),
+        ops in prop::collection::vec(
+            (prop::option::of(prop::collection::vec(0u64..3, ebs_counters::N_EVENTS)),
+             0u64..20_000, 0u64..20_000),
+            1..80,
+        ),
+    ) {
+        let mut w = [0.0; ebs_counters::N_EVENTS];
+        w.copy_from_slice(&weights);
+        let model = ebs_counters::EnergyModel::from_weights_nj(w);
+        let halt = Watts(6.8);
+        let mut est = ebs_core::EnergyEstimator::new(model, 1, halt);
+        let mut bank = ebs_counters::CounterBank::new();
+        let mut oracle_bank = ebs_counters::CounterBank::new();
+        let mut last = ebs_counters::CounterSnapshot::ZERO;
+        for (record, a, b) in ops {
+            if let Some(counts) = record {
+                let mut c = [0u64; ebs_counters::N_EVENTS];
+                c.copy_from_slice(&counts);
+                let c = ebs_counters::EventCounts::from_array(c);
+                bank.record(&c);
+                oracle_bank.record(&c);
+            }
+            let (halted, interval) = (a.min(b), a.max(b));
+            let (halted, interval) =
+                (SimDuration::from_micros(halted), SimDuration::from_micros(interval));
+            let got = est.account(CpuId(0), &mut bank, interval, halted);
+            let snap = oracle_bank.snapshot();
+            let want = model.estimate(&snap.since(&last)) + halt.over(halted);
+            last = snap;
+            prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+            prop_assert_eq!(bank.reads(), oracle_bank.reads());
+        }
+    }
+}

@@ -50,10 +50,11 @@ impl EventRates {
 
     /// The exact (noise-free) event counts generated by `cycles` cycles
     /// of this activity, rounded to the nearest integer count.
+    #[inline]
     pub fn counts_for_cycles(&self, cycles: Cycles) -> EventCounts {
         let mut out = [0u64; N_EVENTS];
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = (self.0[i] * cycles as f64).round() as u64;
+            *slot = round_to_u64(self.0[i] * cycles as f64);
         }
         EventCounts::from_array(out)
     }
@@ -92,6 +93,33 @@ impl EventRates {
             }
         }
         EventRates(out)
+    }
+}
+
+/// `x.round() as u64`, computed inline.
+///
+/// Without SSE4.1 (the default x86-64 target) `f64::round` is an
+/// out-of-line libm call, paid nine times per busy CPU per engine step.
+/// This is the same round-half-away-from-zero, exactly:
+///
+/// - `x as u64` truncates toward zero and saturates, mapping NaN and
+///   every `x < 1` to 0 and every `x >= 2^64` to `u64::MAX`, just as
+///   the cast of the rounded value does.
+/// - For finite `x >= 0` below 2^64 the truncation is exact, and so is
+///   the remainder `x - trunc(x)`: a fraction of `x`'s own mantissa.
+///   `round` adds one exactly when that remainder is at least one
+///   half. No `x + 0.5` is ever formed, so `0.49999999999999994`
+///   cannot round up.
+/// - Negative `x` leaves a remainder below 0.5, and NaN compares
+///   false, so both stay at 0. For `x >= 2^64` the remainder can
+///   exceed one half, which the saturating add absorbs.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 

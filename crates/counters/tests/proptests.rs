@@ -113,3 +113,75 @@ proptest! {
         );
     }
 }
+
+/// The inline rounding's edge cases, each against `f64::round`.
+#[test]
+fn inline_rounding_matches_round_on_the_edges() {
+    let two52 = 4_503_599_627_370_496.0f64;
+    let two63 = 9_223_372_036_854_775_808.0f64;
+    let two64 = 18_446_744_073_709_551_616.0f64;
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        0.5,
+        1.5,
+        2.5,
+        -0.5,
+        -1.5,
+        0.49999999999999994,
+        -0.49999999999999994,
+        1.0 - f64::EPSILON / 2.0,
+        two52 - 0.5,
+        two52 + 0.5,
+        two52 - 1.5,
+        two52 + 1.0,
+        two63,
+        two63 * 1.5,
+        two64 - 2048.0,
+        two64,
+        two64 * 2.0,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+    for k in 0..2_000u32 {
+        let k = f64::from(k);
+        edges.extend([k + 0.5, k - 0.5, -k - 0.5, k * 1e6 + 0.5]);
+    }
+    for x in edges {
+        assert_eq!(
+            ebs_counters::round_to_u64(x),
+            x.round() as u64,
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+    }
+}
+
+proptest! {
+    /// The inline rounding equals `f64::round() as u64` over every bit
+    /// pattern (NaNs, infinities, subnormals and negatives included).
+    #[test]
+    fn inline_rounding_matches_round_on_any_bits(bits in any::<u64>()) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(ebs_counters::round_to_u64(x), x.round() as u64);
+    }
+
+    /// ... and over the magnitudes event counts actually take, with
+    /// ties planted.
+    #[test]
+    fn inline_rounding_matches_round_on_counts(
+        rate in 0.0f64..4.0,
+        cycles in 0u64..10_000_000_000,
+        whole in 0u64..(1 << 53),
+    ) {
+        let x = rate * cycles as f64;
+        prop_assert_eq!(ebs_counters::round_to_u64(x), x.round() as u64);
+        let tie = whole as f64 + 0.5;
+        prop_assert_eq!(ebs_counters::round_to_u64(tie), tie.round() as u64);
+    }
+}

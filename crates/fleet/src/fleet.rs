@@ -381,18 +381,18 @@ impl Fleet {
         let mut stranded_w = 0.0f64;
         let mut samples: Vec<f64> = Vec::new();
         for host in &mut self.hosts {
-            let report = host.engine.report();
-            let d_instr = report.instructions_retired - host.last_instructions;
-            let d_energy = report.true_energy.0 - host.last_energy_j;
-            completions += report.completions - host.last_completions;
+            // The counters alone, not a full report: building one per
+            // host per epoch would sort the whole sojourn history.
+            let totals = host.engine.run_totals(host.last_samples, &mut samples);
+            let d_instr = totals.instructions_retired - host.last_instructions;
+            let d_energy = totals.true_energy.0 - host.last_energy_j;
+            completions += totals.completions - host.last_completions;
             instructions += d_instr;
             energy_j += d_energy;
-            let all = host.engine.sojourn_samples();
-            samples.extend(all[host.last_samples..].iter().map(|&(_, s)| s));
-            host.last_instructions = report.instructions_retired;
-            host.last_completions = report.completions;
-            host.last_energy_j = report.true_energy.0;
-            host.last_samples = all.len();
+            host.last_instructions = totals.instructions_retired;
+            host.last_completions = totals.completions;
+            host.last_energy_j = totals.true_energy.0;
+            host.last_samples = totals.sojourn_samples;
             host.power_w = d_energy / epoch_secs;
             stranded_w += (host.share.0 - host.power_w).max(0.0);
         }

@@ -37,6 +37,7 @@ mod prio_array;
 mod runqueue;
 mod system;
 mod task;
+mod timers;
 
 pub use aggregates::{AggCell, LoadAggregates};
 pub use load_balance::{
@@ -51,3 +52,4 @@ pub use system::{MigrateError, MigrationReason, SwitchResult, System, SystemStat
 pub use task::{
     timeslice_for_nice, BinaryId, Task, TaskConfig, TaskId, TaskState, DEFAULT_TIMESLICE,
 };
+pub use timers::BalanceTimers;

@@ -14,6 +14,7 @@
 
 use crate::system::{MigrationReason, System};
 use crate::task::TaskId;
+use crate::timers::BalanceTimers;
 use ebs_topology::{CpuGroup, CpuId, SchedDomain};
 use ebs_units::SimTime;
 
@@ -76,8 +77,7 @@ pub struct BalanceOutcome {
 #[derive(Clone, Debug)]
 pub struct LoadBalancer {
     cfg: LoadBalancerConfig,
-    /// `next_balance[cpu][level]`: when that domain level is due.
-    next_balance: Vec<Vec<SimTime>>,
+    timers: BalanceTimers,
 }
 
 impl LoadBalancer {
@@ -86,12 +86,10 @@ impl LoadBalancer {
     /// machine's size (see [`AGGREGATE_CPU_THRESHOLD`]).
     pub fn new(sys: &System, mut cfg: LoadBalancerConfig) -> Self {
         cfg.use_aggregates = Some(cfg.resolve_aggregates(sys.topology().n_cpus()));
-        let next_balance = sys
-            .topology()
-            .cpu_ids()
-            .map(|c| vec![SimTime::ZERO; sys.topology().domains(c).len()])
-            .collect();
-        LoadBalancer { cfg, next_balance }
+        LoadBalancer {
+            cfg,
+            timers: BalanceTimers::new(sys),
+        }
     }
 
     /// The configuration (with `use_aggregates` resolved).
@@ -108,18 +106,9 @@ impl LoadBalancer {
     }
 
     /// The earliest instant any CPU's domain level is due for a
-    /// periodic balancing pass. The variable-stride engine bounds its
-    /// steps by this so balancing runs on schedule.
+    /// periodic balancing pass (see [`BalanceTimers::next_due`]).
     pub fn next_due(&self) -> SimTime {
-        self.next_balance
-            .iter()
-            .flatten()
-            .copied()
-            .min()
-            // No domain levels at all (degenerate one-CPU machines):
-            // never due, not "due now" — ZERO here would floor a
-            // variable-stride engine to tick steps forever.
-            .unwrap_or(SimTime::from_micros(u64::MAX))
+        self.timers.next_due()
     }
 
     /// Runs periodic balancing for `cpu`: every domain level whose
@@ -127,16 +116,17 @@ impl LoadBalancer {
     pub fn run(&mut self, cpu: CpuId, sys: &mut System) -> BalanceOutcome {
         let now = sys.now();
         let mut outcome = BalanceOutcome::default();
+        if !self.timers.due(cpu, now) {
+            return outcome;
+        }
         // Shared topology handle: iterating the domain stack while
         // mutating the system, without cloning a domain (whose group
         // lists span O(CPUs) at the top level) every pass.
         let topo = sys.topology_shared();
         for (level, domain) in topo.domains(cpu).iter().enumerate() {
-            if now < self.next_balance[cpu.0][level] {
-                continue;
+            if self.timers.fire(cpu, level, now, domain.balance_interval()) {
+                outcome.pulled += balance_domain(sys, cpu, domain, &self.cfg);
             }
-            self.next_balance[cpu.0][level] = now + domain.balance_interval();
-            outcome.pulled += balance_domain(sys, cpu, domain, &self.cfg);
         }
         outcome
     }
@@ -381,25 +371,11 @@ pub fn idlest_cpu(sys: &System) -> Option<CpuId> {
 
 impl ebs_store::Snapshot for LoadBalancer {
     fn save(&self, w: &mut ebs_store::StateWriter) {
-        w.seq(&self.next_balance, |w, levels| {
-            w.seq(levels, |w, &t| w.time(t));
-        });
+        self.timers.save(w);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        let next_balance = r.seq(|r| r.seq(|r| r.time()))?;
-        if next_balance.len() != self.next_balance.len()
-            || next_balance
-                .iter()
-                .zip(&self.next_balance)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(ebs_store::StoreError::Invalid(
-                "balancer timer table shaped unlike this topology".into(),
-            ));
-        }
-        self.next_balance = next_balance;
-        Ok(())
+        self.timers.restore(r)
     }
 }
 

@@ -224,3 +224,231 @@ proptest! {
         }
     }
 }
+
+/// The machines the timer properties run on: the 256-CPU NUMA box,
+/// the paper's testbed with SMT, and a two-class hybrid.
+fn timer_topology(idx: usize) -> Topology {
+    use ebs_topology::TopologyPreset;
+    [
+        TopologyPreset::Numa64,
+        TopologyPreset::XSeries445 { smt: true },
+        TopologyPreset::Hybrid8,
+    ][idx]
+        .builder()
+        .build()
+}
+
+/// The deadline table's minimum by a full scan, as the balancers
+/// computed `next_due` before the shared timers.
+fn scan_min(table: &[Vec<SimTime>]) -> SimTime {
+    table
+        .iter()
+        .flatten()
+        .copied()
+        .min()
+        .unwrap_or(SimTime::from_micros(u64::MAX))
+}
+
+/// The per-level walk the balancers ran before the shared timers:
+/// every level of `cpu` checked against its deadline, due ones
+/// re-armed and balanced. Returns the tasks pulled.
+fn old_walk(
+    table: &mut [Vec<SimTime>],
+    cpu: CpuId,
+    sys: &mut System,
+    cfg: &LoadBalancerConfig,
+) -> usize {
+    let now = sys.now();
+    let topo = sys.topology_shared();
+    let mut pulled = 0;
+    for (level, domain) in topo.domains(cpu).iter().enumerate() {
+        if now < table[cpu.0][level] {
+            continue;
+        }
+        table[cpu.0][level] = now + domain.balance_interval();
+        pulled += ebs_sched::balance_domain(sys, cpu, domain, cfg);
+    }
+    pulled
+}
+
+/// One step of a timer sequence.
+#[derive(Clone, Debug)]
+enum TimerOp {
+    /// Advance the clock by this many ms.
+    Advance(u64),
+    /// Balance one CPU (index taken modulo the CPU count).
+    Run(usize),
+    /// Balance every CPU in order, as an engine step does.
+    RunAll,
+    /// Keep a snapshot of the current timers.
+    Save,
+    /// Restore a kept snapshot into the timers in use.
+    Restore(usize),
+    /// Restore the current state into freshly built timers.
+    Fresh,
+    /// Spawn a task (balancer test only).
+    Spawn(usize),
+}
+
+fn timer_op() -> impl Strategy<Value = TimerOp> {
+    prop_oneof![
+        (0u64..150).prop_map(TimerOp::Advance),
+        (0usize..256).prop_map(TimerOp::Run),
+        Just(TimerOp::RunAll),
+        Just(TimerOp::Save),
+        (0usize..8).prop_map(TimerOp::Restore),
+        Just(TimerOp::Fresh),
+        (0usize..256).prop_map(TimerOp::Spawn),
+    ]
+}
+
+fn save_image<T: ebs_store::Snapshot>(x: &T) -> ebs_store::StateImage {
+    let mut w = ebs_store::StateWriter::new();
+    x.save(&mut w);
+    w.finish()
+}
+
+/// A deadline table in the layout both balancers have always saved.
+fn table_image(table: &[Vec<SimTime>]) -> ebs_store::StateImage {
+    let mut w = ebs_store::StateWriter::new();
+    w.seq(table, |w, levels| w.seq(levels, |w, &t| w.time(t)));
+    w.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// After any sequence of fires, restores (into used and into fresh
+    /// timers) and clock moves, the cached `next_due` equals a fresh
+    /// scan of the table, `due` agrees with the table, the firing
+    /// pattern equals the old per-level walk's, and the saved bytes are
+    /// the table's.
+    #[test]
+    fn balance_timers_match_the_scanned_table(
+        shape in 0usize..3,
+        ops in prop::collection::vec(timer_op(), 1..80),
+    ) {
+        use ebs_sched::BalanceTimers;
+        use ebs_store::Snapshot as _;
+        let sys = System::new(timer_topology(shape));
+        let topo = sys.topology_shared();
+        let n = topo.n_cpus();
+        let mut timers = BalanceTimers::new(&sys);
+        let mut table: Vec<Vec<SimTime>> =
+            (0..n).map(|c| vec![SimTime::ZERO; topo.domains(CpuId(c)).len()]).collect();
+        let mut saved: Vec<(ebs_store::StateImage, Vec<Vec<SimTime>>)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let walk = |timers: &mut BalanceTimers, table: &mut [Vec<SimTime>], cpu: CpuId, now| {
+            let mut new_fired = Vec::new();
+            if timers.due(cpu, now) {
+                for (level, d) in topo.domains(cpu).iter().enumerate() {
+                    if timers.fire(cpu, level, now, d.balance_interval()) {
+                        new_fired.push(level);
+                    }
+                }
+            }
+            let mut old_fired = Vec::new();
+            for (level, d) in topo.domains(cpu).iter().enumerate() {
+                if now >= table[cpu.0][level] {
+                    table[cpu.0][level] = now + d.balance_interval();
+                    old_fired.push(level);
+                }
+            }
+            (new_fired, old_fired)
+        };
+        for op in ops {
+            match op {
+                TimerOp::Advance(ms) => now += SimDuration::from_millis(ms),
+                TimerOp::Run(c) => {
+                    let (a, b) = walk(&mut timers, &mut table, CpuId(c % n), now);
+                    prop_assert_eq!(a, b);
+                }
+                TimerOp::RunAll => {
+                    for c in 0..n {
+                        let (a, b) = walk(&mut timers, &mut table, CpuId(c), now);
+                        prop_assert_eq!(a, b);
+                    }
+                }
+                TimerOp::Save => saved.push((save_image(&timers), table.clone())),
+                TimerOp::Restore(i) => {
+                    if !saved.is_empty() {
+                        let (image, old) = &saved[i % saved.len()];
+                        timers.restore(&mut image.open().unwrap()).unwrap();
+                        table = old.clone();
+                    }
+                }
+                TimerOp::Fresh => {
+                    let image = save_image(&timers);
+                    timers = BalanceTimers::new(&sys);
+                    timers.restore(&mut image.open().unwrap()).unwrap();
+                }
+                TimerOp::Spawn(_) => {}
+            }
+            prop_assert_eq!(timers.next_due(), scan_min(&table));
+            for (c, levels) in table.iter().enumerate() {
+                prop_assert_eq!(timers.due(CpuId(c), now), levels.iter().any(|&t| now >= t));
+            }
+            let (got, want) = (save_image(&timers), table_image(&table));
+            prop_assert_eq!(got.as_bytes(), want.as_bytes());
+        }
+    }
+
+    /// `LoadBalancer::run` makes the decisions of the old per-level
+    /// walk, through spawns, clock moves and restores into fresh
+    /// balancers, and its snapshot bytes are the old table layout.
+    #[test]
+    fn load_balancer_run_matches_the_per_level_walk(
+        shape in 0usize..3,
+        spawns in prop::collection::vec(0usize..256, 0..120),
+        ops in prop::collection::vec(timer_op(), 1..60),
+    ) {
+        use ebs_store::Snapshot as _;
+        let mut sys = System::new(timer_topology(shape));
+        let n = sys.topology().n_cpus();
+        for &c in &spawns {
+            sys.spawn(TaskConfig::default(), CpuId(c % n));
+        }
+        let mut oracle_sys = sys.clone();
+        let mut lb = LoadBalancer::new(&sys, LoadBalancerConfig::default());
+        let cfg = *lb.config();
+        let mut table: Vec<Vec<SimTime>> = (0..n)
+            .map(|c| vec![SimTime::ZERO; sys.topology().domains(CpuId(c)).len()])
+            .collect();
+        let mut now = SimTime::ZERO;
+        for op in ops {
+            match op {
+                TimerOp::Advance(ms) => {
+                    now += SimDuration::from_millis(ms);
+                    sys.set_now(now);
+                    oracle_sys.set_now(now);
+                }
+                TimerOp::Run(c) => {
+                    let cpu = CpuId(c % n);
+                    let got = lb.run(cpu, &mut sys).pulled;
+                    prop_assert_eq!(got, old_walk(&mut table, cpu, &mut oracle_sys, &cfg));
+                }
+                TimerOp::RunAll => {
+                    for c in 0..n {
+                        let got = lb.run(CpuId(c), &mut sys).pulled;
+                        let want = old_walk(&mut table, CpuId(c), &mut oracle_sys, &cfg);
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                TimerOp::Spawn(c) => {
+                    sys.spawn(TaskConfig::default(), CpuId(c % n));
+                    oracle_sys.spawn(TaskConfig::default(), CpuId(c % n));
+                }
+                TimerOp::Save | TimerOp::Restore(_) | TimerOp::Fresh => {
+                    let (image, want) = (save_image(&lb), table_image(&table));
+                    prop_assert_eq!(image.as_bytes(), want.as_bytes());
+                    lb = LoadBalancer::new(&sys, LoadBalancerConfig::default());
+                    lb.restore(&mut image.open().unwrap()).unwrap();
+                }
+            }
+            prop_assert_eq!(lb.next_due(), scan_min(&table));
+            for c in 0..n {
+                prop_assert_eq!(sys.nr_running(CpuId(c)), oracle_sys.nr_running(CpuId(c)));
+            }
+        }
+    }
+}

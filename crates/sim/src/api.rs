@@ -21,8 +21,24 @@ use crate::engine::{RoutedArrival, Simulation};
 use crate::parallel::ParallelSimulation;
 use crate::trace::SimReport;
 use ebs_trace::TraceEvent;
-use ebs_units::{SimDuration, SimTime};
+use ebs_units::{Joules, SimDuration, SimTime};
 use ebs_workloads::{Mix, Program};
+
+/// The cumulative counters a per-epoch roll-up reads, bit-identical to
+/// the same fields of [`SimEngine::report`] but without building the
+/// report (which sorts the whole sojourn history).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RunTotals {
+    /// Instructions retired so far.
+    pub instructions_retired: u64,
+    /// Task completions so far.
+    pub completions: u64,
+    /// True (physical) energy consumed so far.
+    pub true_energy: Joules,
+    /// Sojourn samples recorded so far: the length of
+    /// [`SimEngine::sojourn_samples`].
+    pub sojourn_samples: usize,
+}
 
 /// The driving surface shared by both engine cores.
 ///
@@ -75,6 +91,15 @@ pub trait SimEngine: ebs_store::Snapshot + Send {
     /// percentiles) exactly like the partitioned core pools its
     /// shards'.
     fn sojourn_samples(&self) -> Vec<(&'static str, f64)>;
+
+    /// The run's cumulative [`RunTotals`], appending to `tail` the
+    /// seconds of every sojourn sample from index `sojourn_from` of
+    /// [`SimEngine::sojourn_samples`] on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sojourn_from` exceeds the samples recorded.
+    fn run_totals(&self, sojourn_from: usize, tail: &mut Vec<f64>) -> RunTotals;
 
     /// Spawns `copies` instances of every program in the slice.
     fn spawn_mix(&mut self, programs: &[Program], copies: usize) {
@@ -203,6 +228,10 @@ impl SimEngine for Simulation {
     fn sojourn_samples(&self) -> Vec<(&'static str, f64)> {
         self.raw_latencies().to_vec()
     }
+
+    fn run_totals(&self, sojourn_from: usize, tail: &mut Vec<f64>) -> RunTotals {
+        Simulation::run_totals(self, sojourn_from, tail)
+    }
 }
 
 impl SimEngine for ParallelSimulation {
@@ -248,6 +277,10 @@ impl SimEngine for ParallelSimulation {
 
     fn sojourn_samples(&self) -> Vec<(&'static str, f64)> {
         self.pooled_latencies()
+    }
+
+    fn run_totals(&self, sojourn_from: usize, tail: &mut Vec<f64>) -> RunTotals {
+        ParallelSimulation::run_totals(self, sojourn_from, tail)
     }
 }
 
@@ -303,6 +336,42 @@ mod tests {
             s.report()
         };
         assert!(a.bit_eq(&b), "dyn and concrete forks must agree");
+    }
+
+    /// `run_totals` reads the report's counters bit for bit on both
+    /// cores, and its tail is `sojourn_samples` from the given index.
+    #[test]
+    fn run_totals_match_the_report_on_both_cores() {
+        for build in [
+            |c: SimConfig| build_engine(c.strided()),
+            |c: SimConfig| build_engine(c.parallel(2)),
+        ] {
+            let mut sim = build(cfg());
+            for k in 0..12u64 {
+                sim.queue_arrival(RoutedArrival {
+                    due: SimTime::from_millis(5 + 15 * k),
+                    program: catalog::aluadd().with_total_work(2_000_000 + 500_000 * k),
+                    seed: k,
+                    phase: "steady",
+                });
+            }
+            sim.run_for(SimDuration::from_secs(1));
+            let report = sim.report();
+            let samples: Vec<f64> = sim.sojourn_samples().iter().map(|&(_, s)| s).collect();
+            assert!(samples.len() > 2, "too few completions to test the tail");
+            for from in [0, 1, samples.len() / 2, samples.len()] {
+                let mut tail = Vec::new();
+                let totals = sim.run_totals(from, &mut tail);
+                assert_eq!(totals.instructions_retired, report.instructions_retired);
+                assert_eq!(totals.completions, report.completions);
+                assert_eq!(
+                    totals.true_energy.0.to_bits(),
+                    report.true_energy.0.to_bits()
+                );
+                assert_eq!(totals.sojourn_samples, samples.len());
+                assert_eq!(tail, samples[from..]);
+            }
+        }
     }
 
     /// Routed arrivals through the trait spawn at their due instants on

@@ -20,6 +20,7 @@
 //! With the stride cap set to one tick the two cores are bit-identical
 //! (they execute the same `step_span` with the same `dt`).
 
+use crate::api::RunTotals;
 use crate::config::SimConfig;
 use crate::machine::PhysicalMachine;
 use crate::runtime::{TaskRuntime, WarmthModel};
@@ -31,7 +32,8 @@ use ebs_core::{
 use ebs_counters::{calibration, EnergyModel};
 use ebs_dvfs::{DecisionHold, Governor, GovernorInput, PStateResidency};
 use ebs_sched::{
-    idlest_cpu, BinaryId, LoadBalancer, LoadBalancerConfig, System, TaskConfig, TaskId,
+    idlest_cpu, BalanceTimers, BinaryId, LoadBalancer, LoadBalancerConfig, System, TaskConfig,
+    TaskId,
 };
 use ebs_thermal::ThrottleState;
 use ebs_topology::CpuId;
@@ -851,6 +853,19 @@ impl Simulation {
     /// Raw open-workload sojourn samples: (arrival phase, seconds).
     pub(crate) fn raw_latencies(&self) -> &[(&'static str, f64)] {
         &self.latencies
+    }
+
+    /// See [`crate::SimEngine::run_totals`]: the report's completion
+    /// count (a `u64` sum, so its order is immaterial), instruction
+    /// count and true energy, read straight from the counters.
+    pub(crate) fn run_totals(&self, sojourn_from: usize, tail: &mut Vec<f64>) -> RunTotals {
+        tail.extend(self.latencies[sojourn_from..].iter().map(|&(_, s)| s));
+        RunTotals {
+            instructions_retired: self.instructions,
+            completions: self.completions.values().sum(),
+            true_energy: self.true_energy,
+            sojourn_samples: self.latencies.len(),
+        }
     }
 
     /// Runnable tasks (running + queued) across the whole system.
@@ -2331,9 +2346,7 @@ impl ebs_store::Snapshot for Simulation {
             // A snapshot from the other balancer kind: consume its
             // timer table (both kinds serialize the same layout) and
             // keep this engine's fresh timers.
-            (0 | 1, _) => {
-                let _ = r.seq(|r| r.seq(|r| r.time()))?;
-            }
+            (0 | 1, _) => BalanceTimers::skip(r)?,
             (tag, _) => {
                 return Err(ebs_store::StoreError::Invalid(format!(
                     "balancer tag {tag}"

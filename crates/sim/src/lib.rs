@@ -50,7 +50,7 @@ mod runner;
 mod runtime;
 mod trace;
 
-pub use api::{build_engine, SimEngine};
+pub use api::{build_engine, RunTotals, SimEngine};
 pub use classes::{ClassCatalog, CoreClass, DomainMap};
 pub use config::{DvfsSpec, MaxPowerSpec, SimConfig};
 pub use diag::{

@@ -40,6 +40,7 @@
 //!   not bit-exactly. The arrival stream is still exact: one global
 //!   [`ArrivalProcess`] owns it.
 
+use crate::api::RunTotals;
 use crate::config::SimConfig;
 use crate::engine::{RoutedArrival, Simulation};
 use crate::trace::{LatencyStats, SimReport};
@@ -191,6 +192,33 @@ impl ParallelSimulation {
             .iter()
             .flat_map(|s| s.raw_latencies().iter().copied())
             .collect()
+    }
+
+    /// See [`crate::SimEngine::run_totals`]: partition totals summed
+    /// exactly as [`ParallelSimulation::report`] sums them, and the
+    /// sojourn tail indexed into the partition-order pooling of
+    /// [`ParallelSimulation::pooled_latencies`].
+    pub(crate) fn run_totals(&self, sojourn_from: usize, tail: &mut Vec<f64>) -> RunTotals {
+        if self.shards.len() == 1 {
+            return self.shards[0].run_totals(sojourn_from, tail);
+        }
+        let mut skip = sojourn_from;
+        let parts: Vec<RunTotals> = self
+            .shards
+            .iter()
+            .map(|s| {
+                let from = skip.min(s.raw_latencies().len());
+                skip -= from;
+                s.run_totals(from, tail)
+            })
+            .collect();
+        assert_eq!(skip, 0, "sojourn index {sojourn_from} past the samples");
+        RunTotals {
+            instructions_retired: parts.iter().map(|t| t.instructions_retired).sum(),
+            completions: parts.iter().map(|t| t.completions).sum(),
+            true_energy: Joules(parts.iter().map(|t| t.true_energy.0).sum()),
+            sojourn_samples: parts.iter().map(|t| t.sojourn_samples).sum(),
+        }
     }
 
     /// Runs the simulation for a span of simulated time: repeated

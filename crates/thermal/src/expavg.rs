@@ -20,13 +20,73 @@
 
 use ebs_units::{SimDuration, Watts};
 
+/// The weighting rule of Eq. 2: a standard period and the weight a
+/// sample spanning exactly that period receives.
+///
+/// Averages that share one rule — every CPU's thermal power in
+/// `ebs_core::PowerState` — share its [`ExpWeight::effective`] result
+/// for equal periods, so a caller folding many of them over the same
+/// period pays for the `powf` once ([`ExpWeight::fold`] is the exact
+/// fold [`ExpAverage::update`] performs).
+#[derive(Clone, Copy, Debug)]
+pub struct ExpWeight {
+    standard_period: SimDuration,
+    /// Weight applied to a sample spanning exactly one standard period.
+    standard_weight: f64,
+}
+
+impl ExpWeight {
+    /// Creates the rule for a standard period and weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weight is outside `(0, 1]` or the period is zero.
+    pub fn new(standard_period: SimDuration, standard_weight: f64) -> Self {
+        assert!(
+            standard_weight > 0.0 && standard_weight <= 1.0,
+            "standard weight {standard_weight} outside (0, 1]"
+        );
+        assert!(
+            !standard_period.is_zero(),
+            "standard period must be positive"
+        );
+        ExpWeight {
+            standard_period,
+            standard_weight,
+        }
+    }
+
+    /// The rule whose step response mimics a first-order system with
+    /// time constant `tau`: the weight for one standard period is
+    /// `1 - exp(-D / tau)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau` or the period is zero.
+    pub fn with_time_constant(standard_period: SimDuration, tau: SimDuration) -> Self {
+        assert!(!tau.is_zero(), "time constant must be positive");
+        let weight = 1.0 - (-standard_period.ratio(tau)).exp();
+        ExpWeight::new(standard_period, weight)
+    }
+
+    /// The weight that a sample spanning `period` receives.
+    pub fn effective(&self, period: SimDuration) -> f64 {
+        let exponent = period.ratio(self.standard_period);
+        1.0 - (1.0 - self.standard_weight).powf(exponent)
+    }
+
+    /// Folds `sample` into `value` with the effective weight `p`.
+    #[inline]
+    pub fn fold(p: f64, sample: f64, value: f64) -> f64 {
+        p * sample + (1.0 - p) * value
+    }
+}
+
 /// A variable-period exponential average over `f64` samples.
 #[derive(Clone, Copy, Debug)]
 pub struct ExpAverage {
     value: f64,
-    standard_period: SimDuration,
-    /// Weight applied to a sample spanning exactly one standard period.
-    standard_weight: f64,
+    weight: ExpWeight,
 }
 
 impl ExpAverage {
@@ -37,24 +97,15 @@ impl ExpAverage {
     ///
     /// Panics if the weight is outside `(0, 1]` or the period is zero.
     pub fn new(initial: f64, standard_period: SimDuration, standard_weight: f64) -> Self {
-        assert!(
-            standard_weight > 0.0 && standard_weight <= 1.0,
-            "standard weight {standard_weight} outside (0, 1]"
-        );
-        assert!(
-            !standard_period.is_zero(),
-            "standard period must be positive"
-        );
         ExpAverage {
             value: initial,
-            standard_period,
-            standard_weight,
+            weight: ExpWeight::new(standard_period, standard_weight),
         }
     }
 
     /// Creates an average whose step response mimics a first-order
-    /// system with time constant `tau`: the weight for one standard
-    /// period is `1 - exp(-D / tau)`.
+    /// system with time constant `tau` (see
+    /// [`ExpWeight::with_time_constant`]).
     ///
     /// This is the calibration the paper applies to *thermal power* so
     /// that its course follows the RC model's temperature.
@@ -67,9 +118,10 @@ impl ExpAverage {
         standard_period: SimDuration,
         tau: SimDuration,
     ) -> Self {
-        assert!(!tau.is_zero(), "time constant must be positive");
-        let weight = 1.0 - (-standard_period.ratio(tau)).exp();
-        ExpAverage::new(initial, standard_period, weight)
+        ExpAverage {
+            value: initial,
+            weight: ExpWeight::with_time_constant(standard_period, tau),
+        }
     }
 
     /// The current average.
@@ -79,8 +131,7 @@ impl ExpAverage {
 
     /// The weight that a sample spanning `period` receives.
     pub fn effective_weight(&self, period: SimDuration) -> f64 {
-        let exponent = period.ratio(self.standard_period);
-        1.0 - (1.0 - self.standard_weight).powf(exponent)
+        self.weight.effective(period)
     }
 
     /// Folds in a sample averaged over `period` (Eq. 2 with the
@@ -90,8 +141,8 @@ impl ExpAverage {
         if period.is_zero() {
             return self.value;
         }
-        let p = self.effective_weight(period);
-        self.value = p * sample + (1.0 - p) * self.value;
+        let p = self.weight.effective(period);
+        self.value = ExpWeight::fold(p, sample, self.value);
         self.value
     }
 

@@ -13,7 +13,8 @@
 //!
 //! - [`ExpAverage`] / [`PowerAverage`]: the variable-period exponential
 //!   average of Eq. 2, supporting arbitrary sampling intervals (a task
-//!   "may block any time").
+//!   "may block any time"), and [`ExpWeight`], its weighting rule,
+//!   shared by averages that fold the same periods.
 //! - [`RcThermalModel`] / [`ThermalNode`]: the RC network with exact
 //!   exponential integration, per-CPU heterogeneous cooling, and the
 //!   derived *maximum power* of a CPU.
@@ -31,7 +32,7 @@ pub mod cmp;
 pub mod online;
 
 pub use cmp::{CmpThermalModel, CmpThermalNode};
-pub use expavg::{ExpAverage, PowerAverage};
+pub use expavg::{ExpAverage, ExpWeight, PowerAverage};
 pub use online::OnlineCalibrator;
 pub use rc_model::{RcThermalModel, ThermalNode};
 pub use throttle::{ThrottleController, ThrottleState, ThrottleStats};
