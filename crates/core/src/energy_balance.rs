@@ -20,14 +20,38 @@
 //!    length and pull tasks from its busiest queue, choosing *hot*
 //!    tasks if the remote group is hotter and *cool* tasks if it is
 //!    cooler, so load balancing does not create energy imbalances.
+//!
+//! # Answers shared by a domain span
+//!
+//! Every CPU of a span walks the same domain, so the searches that do
+//! not depend on the asking CPU are memoised per span or per group and
+//! shared by all of them (on the aggregate paths; the scan baseline
+//! rescans):
+//!
+//! - the energy step's hottest group (the arg-max of the group
+//!   runqueue-power ratios), keyed on the span's generation
+//!   ([`ebs_sched::SpanIndex::span_gen`]) and the budgets
+//!   ([`PowerState::budget_key`]). The group ratios are what
+//!   [`GroupRatioCache`] returns under the same keys, and the arg-max
+//!   is taken by the same `max_by` (the last maximum wins), so the
+//!   memoised pair is the one a fresh search computes;
+//! - the load step's busiest group and queue ([`ebs_sched::LoadMemo`]);
+//! - group thermal ratios ([`GroupThermalCache`]), keyed on
+//!   [`PowerState::stamp`].
+//!
+//! Each CPU's local group comes from [`ebs_sched::SpanIndex`] in O(1).
+//! The memos are never serialized; a restore drops them
+//! ([`EnergyAwareBalancer::invalidate`]).
 
 use crate::metrics::{
-    group_runqueue_ratio, runqueue_power, runqueue_power_ratio, GroupRatioCache, PowerState,
+    group_runqueue_ratio, runqueue_power, runqueue_power_ratio, GroupRatioCache, GroupThermalCache,
+    PowerState,
 };
 use ebs_sched::{
-    busiest_queued_cpu, BalanceOutcome, BalanceTimers, MigrationReason, System, TaskId,
+    busiest_queued_cpu, BalanceOutcome, BalanceTimers, LevelPos, LoadMemo, MigrationReason,
+    SpanIndex, System, TaskId,
 };
-use ebs_topology::{CpuId, SchedDomain};
+use ebs_topology::{CpuGroup, CpuId, SchedDomain};
 use ebs_units::{SimTime, Watts};
 
 /// Tunables of the merged balancer.
@@ -94,16 +118,91 @@ impl EnergyBalanceConfig {
 pub struct EnergyAwareBalancer {
     cfg: EnergyBalanceConfig,
     timers: BalanceTimers,
-    /// Memoised group runqueue-power ratios (see [`GroupRatioCache`]);
-    /// only allocated when the aggregate paths are in use, so small
-    /// machines on the adaptive default stay allocation-lean.
-    ratios: Option<GroupRatioCache>,
+    /// Local groups and span slots per (CPU, level).
+    index: SpanIndex,
+    /// Memoised searches (see the module docs); only allocated when
+    /// the aggregate paths are in use, so small machines on the
+    /// adaptive default stay allocation-lean.
+    memo: Option<Box<EnergyMemo>>,
     /// Class-weighted compute capacity per logical CPU. `None` (every
     /// homogeneous machine) keeps the load step's exact legacy integer
     /// arithmetic; `Some` switches it to capacity-normalized effective
     /// loads, so a 3-deep efficiency queue reads as more loaded than a
     /// 3-deep performance queue.
     capacities: Option<Vec<f64>>,
+}
+
+/// `((span gen, budget key), hottest group and its ratio)`.
+type HottestSlot = ((u64, (u64, u64)), Option<(usize, f64)>);
+
+/// The merged balancer's memoised searches.
+#[derive(Clone, Debug)]
+struct EnergyMemo {
+    /// Group runqueue-power ratios.
+    ratios: GroupRatioCache,
+    /// Group thermal power ratios.
+    thermal: GroupThermalCache,
+    /// Per span: the hottest group and its ratio, with the keys it
+    /// was computed under: `((span gen, budget key), hottest)`.
+    hottest: Vec<HottestSlot>,
+    /// The load step's busiest group and queue.
+    load: LoadMemo,
+}
+
+impl EnergyMemo {
+    fn new(sys: &System, index: &SpanIndex) -> Self {
+        let topo = sys.topology();
+        EnergyMemo {
+            ratios: GroupRatioCache::new(topo),
+            thermal: GroupThermalCache::new(topo),
+            hottest: vec![((u64::MAX, (u64::MAX, u64::MAX)), None); index.n_spans()],
+            load: LoadMemo::new(topo, index),
+        }
+    }
+
+    fn invalidate(&mut self) {
+        self.ratios.mark_all_stale();
+        for slot in &mut self.hottest {
+            slot.0 .0 = u64::MAX;
+        }
+        self.load.invalidate();
+    }
+
+    /// The group with the highest runqueue-power ratio in the domain at
+    /// `pos`, and that ratio.
+    fn hottest_group(
+        &mut self,
+        sys: &System,
+        index: &SpanIndex,
+        pos: LevelPos,
+        domain: &SchedDomain,
+        power: &PowerState,
+    ) -> Option<(usize, f64)> {
+        let key = (index.span_gen(sys, pos.span), power.budget_key());
+        let slot = &mut self.hottest[pos.span];
+        if slot.0 != key {
+            let ratios = &mut self.ratios;
+            *slot = (
+                key,
+                hottest_by(domain, |g| ratios.group_ratio(sys, g, power)),
+            );
+        }
+        slot.1
+    }
+}
+
+/// The group with the highest ratio (the last of equal maxima) and the
+/// ratio.
+fn hottest_by<F: FnMut(&CpuGroup) -> f64>(
+    domain: &SchedDomain,
+    mut ratio_of: F,
+) -> Option<(usize, f64)> {
+    domain
+        .groups()
+        .iter()
+        .enumerate()
+        .map(|(i, g)| (i, ratio_of(g)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 impl EnergyAwareBalancer {
@@ -113,12 +212,22 @@ impl EnergyAwareBalancer {
     pub fn new(sys: &System, mut cfg: EnergyBalanceConfig) -> Self {
         let aggregates = cfg.resolve_aggregates(sys.topology().n_cpus());
         cfg.use_aggregates = Some(aggregates);
-        let ratios = aggregates.then(|| GroupRatioCache::new(sys.topology()));
+        let index = SpanIndex::new(sys.topology());
+        let memo = aggregates.then(|| Box::new(EnergyMemo::new(sys, &index)));
         EnergyAwareBalancer {
             cfg,
             timers: BalanceTimers::new(sys),
-            ratios,
+            index,
+            memo,
             capacities: None,
+        }
+    }
+
+    /// Drops every memoised answer; the engine calls this when it
+    /// restores the system the balancer reads.
+    pub fn invalidate(&mut self) {
+        if let Some(memo) = &mut self.memo {
+            memo.invalidate();
         }
     }
 
@@ -153,7 +262,7 @@ impl EnergyAwareBalancer {
     /// Whether group selection reads the aggregate tree (resolved from
     /// the config and the machine size at construction).
     pub fn uses_aggregates(&self) -> bool {
-        self.ratios.is_some()
+        self.memo.is_some()
     }
 
     /// The earliest instant any CPU's domain level is due for a
@@ -178,19 +287,145 @@ impl EnergyAwareBalancer {
             if !self.timers.fire(cpu, level, now, domain.balance_interval()) {
                 continue;
             }
+            let pos = self.index.pos(cpu, level);
             if self.cfg.energy_step_enabled && !domain.flags().share_cpu_power {
-                outcome.pulled += energy_step(sys, cpu, domain, power, &self.cfg, &mut self.ratios);
+                outcome.pulled += self.energy_step(sys, cpu, pos, domain, power);
             }
-            outcome.pulled += load_step(
-                sys,
-                cpu,
-                domain,
-                power,
-                &self.cfg,
-                self.capacities.as_deref(),
-            );
+            outcome.pulled += self.load_step(sys, cpu, pos, domain, power);
         }
         outcome
+    }
+
+    /// A group's thermal power ratio, memoised on the aggregate paths.
+    fn group_thermal_ratio(&mut self, power: &PowerState, group: &CpuGroup) -> f64 {
+        match &mut self.memo {
+            Some(memo) => memo.thermal.group_thermal_ratio(power, group),
+            None => power.group_thermal_ratio(group),
+        }
+    }
+
+    /// The energy balancing step of Fig. 4 (left column). Returns tasks
+    /// pulled.
+    fn energy_step(
+        &mut self,
+        sys: &mut System,
+        cpu: CpuId,
+        pos: LevelPos,
+        domain: &SchedDomain,
+        power: &PowerState,
+    ) -> usize {
+        let local_idx = pos.local;
+        // Search the CPU group with the highest average power ratio.
+        let hottest = match &mut self.memo {
+            Some(memo) => memo.hottest_group(sys, &self.index, pos, domain, power),
+            None => hottest_by(domain, |g| group_runqueue_ratio(sys, g, power)),
+        };
+        let Some((hot_idx, hot_rq_ratio)) = hottest else {
+            return 0;
+        };
+        // Group contains local CPU? Then there is nothing to pull here.
+        if hot_idx == local_idx {
+            return 0;
+        }
+        // Hysteresis: the remote group must be hotter in *both* metrics.
+        let local_group = &domain.groups()[local_idx];
+        let hot_group = &domain.groups()[hot_idx];
+        let local_rq_ratio = match &mut self.memo {
+            Some(memo) => memo.ratios.group_ratio(sys, local_group, power),
+            None => group_runqueue_ratio(sys, local_group, power),
+        };
+        if hot_rq_ratio <= local_rq_ratio + self.cfg.runqueue_ratio_margin {
+            return 0;
+        }
+        if self.group_thermal_ratio(power, hot_group)
+            <= self.group_thermal_ratio(power, local_group) + self.cfg.thermal_ratio_margin
+        {
+            return 0;
+        }
+        pull_hot_task(sys, cpu, hot_group, power, &self.cfg)
+    }
+
+    /// The load balancing step of Fig. 4 (right column). Returns tasks
+    /// pulled.
+    ///
+    /// With `capacities`, loads are normalized by class-weighted
+    /// compute capacity: the busiest group is the one with the highest
+    /// `nr_running / capacity`, and the number of tasks to move solves
+    /// the effective-load equalisation `src_eff − n/c_src = dst_eff +
+    /// n/c_dst` instead of the integer halving. With unit capacities
+    /// both formulas coincide; `None` keeps the legacy integer
+    /// arithmetic bit-exactly.
+    fn load_step(
+        &mut self,
+        sys: &mut System,
+        cpu: CpuId,
+        pos: LevelPos,
+        domain: &SchedDomain,
+        power: &PowerState,
+    ) -> usize {
+        let local_idx = pos.local;
+        let by_capacity = self.capacities.is_some();
+        let busiest = match &mut self.memo {
+            Some(memo) => memo
+                .load
+                .busiest_group(sys, &self.index, pos, domain, by_capacity),
+            None if by_capacity => ebs_sched::find_busiest_group_capacity(sys, domain, local_idx),
+            None => ebs_sched::find_busiest_group_scan(sys, domain, local_idx),
+        };
+        let Some((busiest_idx, _)) = busiest else {
+            return 0;
+        };
+        let busiest_group = &domain.groups()[busiest_idx];
+        let src = match &mut self.memo {
+            Some(memo) => memo.load.busiest_queue(sys, busiest_group),
+            None => ebs_sched::busiest_queue_in_group(sys, busiest_group),
+        };
+        let Some(src) = src else {
+            return 0;
+        };
+        let src_load = sys.nr_running(src);
+        let dst_load = sys.nr_running(cpu);
+        let n_move = match self.capacities.as_deref() {
+            None => {
+                if src_load < dst_load + self.cfg.min_imbalance {
+                    return 0;
+                }
+                (src_load - dst_load) / 2
+            }
+            Some(caps) => {
+                let c_src = caps[src.0];
+                let c_dst = caps[cpu.0];
+                let src_eff = src_load as f64 / c_src;
+                let dst_eff = dst_load as f64 / c_dst;
+                // Moving n tasks shifts the effective loads by n/c each
+                // way; equalisation at n = Δeff / (1/c_src + 1/c_dst).
+                // The gate generalises `src − dst ≥ min_imbalance` (to
+                // which it reduces when both capacities are 1).
+                let n_f = (src_eff - dst_eff) / (1.0 / c_src + 1.0 / c_dst);
+                if 2.0 * n_f < self.cfg.min_imbalance as f64 {
+                    return 0;
+                }
+                (n_f.floor() as usize).min(sys.rq(src).nr_queued())
+            }
+        };
+        if n_move == 0 {
+            return 0;
+        }
+        // Move hot tasks if the remote group is hotter, cool tasks if
+        // it is cooler, so the load step does not create energy
+        // imbalances. In shared-power (SMT) domains the energy
+        // restrictions do not apply; thermal ratios of siblings are
+        // equal anyway, making the order irrelevant there.
+        let hottest_first = self.group_thermal_ratio(power, busiest_group)
+            >= self.group_thermal_ratio(power, &domain.groups()[local_idx]);
+        pull_sorted(
+            sys,
+            src,
+            cpu,
+            n_move,
+            MigrationReason::LoadBalance,
+            hottest_first,
+        )
     }
 
     /// New-idle balancing, identical to the baseline's but choosing
@@ -222,52 +457,16 @@ impl EnergyAwareBalancer {
     }
 }
 
-/// The energy balancing step of Fig. 4 (left column). Returns tasks
-/// pulled.
-fn energy_step(
+/// The tail of the energy step: pull the hottest fitting task from the
+/// hottest queue of `hot_group` to `cpu`, and push a cool task back if
+/// that created a load imbalance. Returns tasks moved.
+fn pull_hot_task(
     sys: &mut System,
     cpu: CpuId,
-    domain: &SchedDomain,
+    hot_group: &CpuGroup,
     power: &PowerState,
     cfg: &EnergyBalanceConfig,
-    ratios: &mut Option<GroupRatioCache>,
 ) -> usize {
-    let Some(local_idx) = domain.local_group_index(cpu) else {
-        return 0;
-    };
-    // The group ratio reader: memoised against the aggregate tree's
-    // generations (amortised O(1) per group) when the cache exists, or
-    // the pre-aggregate full scan — both produce identical bits.
-    let mut group_ratio = |sys: &System, i: usize| {
-        let group = &domain.groups()[i];
-        match ratios.as_mut() {
-            Some(cache) => cache.group_ratio(sys, group, power),
-            None => group_runqueue_ratio(sys, group, power),
-        }
-    };
-    // Search the CPU group with the highest average power ratio.
-    let Some((hot_idx, hot_rq_ratio)) = (0..domain.groups().len())
-        .map(|i| (i, group_ratio(sys, i)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-    else {
-        return 0;
-    };
-    // Group contains local CPU? Then there is nothing to pull here.
-    if hot_idx == local_idx {
-        return 0;
-    }
-    // Hysteresis: the remote group must be hotter in *both* metrics.
-    let local_rq_ratio = group_ratio(sys, local_idx);
-    let local_group = &domain.groups()[local_idx];
-    let hot_group = &domain.groups()[hot_idx];
-    if hot_rq_ratio <= local_rq_ratio + cfg.runqueue_ratio_margin {
-        return 0;
-    }
-    if power.group_thermal_ratio(hot_group)
-        <= power.group_thermal_ratio(local_group) + cfg.thermal_ratio_margin
-    {
-        return 0;
-    }
     // Search the queue with the highest power ratio within the group.
     let Some(src) = hot_group.cpus().iter().copied().max_by(|&a, &b| {
         runqueue_power_ratio(sys, a, power).total_cmp(&runqueue_power_ratio(sys, b, power))
@@ -310,85 +509,6 @@ fn energy_step(
         }
     }
     pulled
-}
-
-/// The load balancing step of Fig. 4 (right column). Returns tasks
-/// pulled.
-///
-/// With `capacities`, loads are normalized by class-weighted compute
-/// capacity: the busiest group is the one with the highest
-/// `nr_running / capacity`, and the number of tasks to move solves the
-/// effective-load equalisation `src_eff − n/c_src = dst_eff + n/c_dst`
-/// instead of the integer halving. With unit capacities both formulas
-/// coincide; `None` keeps the legacy integer arithmetic bit-exactly.
-fn load_step(
-    sys: &mut System,
-    cpu: CpuId,
-    domain: &SchedDomain,
-    power: &PowerState,
-    cfg: &EnergyBalanceConfig,
-    capacities: Option<&[f64]>,
-) -> usize {
-    let Some(local_idx) = domain.local_group_index(cpu) else {
-        return 0;
-    };
-    let busiest = match capacities {
-        Some(_) => ebs_sched::find_busiest_group_capacity(sys, domain, local_idx),
-        None if cfg.resolve_aggregates(sys.topology().n_cpus()) => {
-            ebs_sched::find_busiest_group(sys, domain, local_idx)
-        }
-        None => ebs_sched::find_busiest_group_scan(sys, domain, local_idx),
-    };
-    let Some((busiest_idx, _)) = busiest else {
-        return 0;
-    };
-    let busiest_group = &domain.groups()[busiest_idx];
-    let Some(src) = ebs_sched::busiest_queue_in_group(sys, busiest_group) else {
-        return 0;
-    };
-    let src_load = sys.nr_running(src);
-    let dst_load = sys.nr_running(cpu);
-    let n_move = match capacities {
-        None => {
-            if src_load < dst_load + cfg.min_imbalance {
-                return 0;
-            }
-            (src_load - dst_load) / 2
-        }
-        Some(caps) => {
-            let c_src = caps[src.0];
-            let c_dst = caps[cpu.0];
-            let src_eff = src_load as f64 / c_src;
-            let dst_eff = dst_load as f64 / c_dst;
-            // Moving n tasks shifts the effective loads by n/c each
-            // way; equalisation at n = Δeff / (1/c_src + 1/c_dst).
-            // The gate generalises `src − dst ≥ min_imbalance` (to
-            // which it reduces when both capacities are 1).
-            let n_f = (src_eff - dst_eff) / (1.0 / c_src + 1.0 / c_dst);
-            if 2.0 * n_f < cfg.min_imbalance as f64 {
-                return 0;
-            }
-            (n_f.floor() as usize).min(sys.rq(src).nr_queued())
-        }
-    };
-    if n_move == 0 {
-        return 0;
-    }
-    // Move hot tasks if the remote group is hotter, cool tasks if it is
-    // cooler, so the load step does not create energy imbalances. In
-    // shared-power (SMT) domains the energy restrictions do not apply;
-    // thermal ratios of siblings are equal anyway, making the order
-    // irrelevant there.
-    let hottest_first = power.group_thermal_ratio(busiest_group)
-        >= power.group_thermal_ratio(&domain.groups()[local_idx]);
-    pull_sorted(
-        sys,
-        src,
-        cpu,
-        n_move,
-        MigrationReason::LoadBalance,
-        hottest_first,
-    )
 }
 
 /// The hottest waiting (non-running) task on `src` whose profile
@@ -452,17 +572,15 @@ fn pull_sorted(
 
 impl ebs_store::Snapshot for EnergyAwareBalancer {
     fn save(&self, w: &mut ebs_store::StateWriter) {
-        // The ratio cache is never serialized: its entries are bitwise
-        // identical to a fresh member-order scan, so a restored
-        // balancer simply starts all-stale and recomputes on demand.
+        // The memos are never serialized: their entries are bitwise
+        // identical to fresh searches, so a restored balancer simply
+        // starts all-stale and recomputes on demand.
         self.timers.save(w);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         self.timers.restore(r)?;
-        if let Some(ratios) = &mut self.ratios {
-            ratios.mark_all_stale();
-        }
+        self.invalidate();
         Ok(())
     }
 }

@@ -25,8 +25,30 @@
 //! the dot product. The read is still taken ([`CounterBank::snapshot`]
 //! counts it, and the count is saved state), and the stored snapshot
 //! needs no update because it already equals the bank.
+//!
+//! # One read per engine step
+//!
+//! The engine reads every CPU's bank once per step, right after the
+//! physics phase recorded that step's events, and nothing else records
+//! into a bank or reads it. So between steps every bank equals the
+//! estimator's last read of it ([`EnergyEstimator::last_read`]):
+//! `account_step` asserts it in debug builds, and the simulator's
+//! `validate_counter_reads` checks it on demand.
+//! [`EnergyEstimator::account_step`] builds on that:
+//!
+//! - a CPU that executed moved its bank by exactly the counts it just
+//!   recorded, so those counts *are* the delta
+//!   [`CounterSnapshot::since`] would form, and Eq. 1 of them is the
+//!   estimate. Eq. 1 never yields `-0.0` (its sum starts at `+0.0`), so
+//!   adding the zero halt energy of a fully running step changes no
+//!   bit and is left out;
+//! - a halted CPU's bank did not move, which is the halted-interval
+//!   fast path above without the compare.
+//!
+//! Either way the read is counted, as a snapshot would count it.
+//! [`EnergyEstimator::account`] stays the general entry point.
 
-use ebs_counters::{CounterBank, CounterSnapshot, EnergyModel};
+use ebs_counters::{CounterBank, CounterSnapshot, EnergyModel, EventCounts};
 use ebs_topology::CpuId;
 use ebs_units::{Joules, SimDuration, Watts};
 
@@ -147,6 +169,44 @@ impl EnergyEstimator {
         let delta = snap.since(&self.last[cpu.0]);
         self.last[cpu.0] = snap;
         self.models[class].estimate(&delta) + halt
+    }
+
+    /// The per-step read of `cpu`'s bank (see the module docs):
+    /// `executed` holds the counts the step just recorded into the bank
+    /// while the CPU ran for the whole `dt`; `None` means it was halted
+    /// for all of `dt` and the bank did not move. Returns what
+    /// [`EnergyEstimator::account`] returns for the same read.
+    #[inline]
+    pub fn account_step(
+        &mut self,
+        cpu: CpuId,
+        bank: &mut CounterBank,
+        executed: Option<&EventCounts>,
+        dt: SimDuration,
+    ) -> Joules {
+        bank.count_read();
+        let class = self.cpu_class[cpu.0];
+        let last = &mut self.last[cpu.0];
+        match executed {
+            Some(counts) => {
+                debug_assert_eq!(
+                    bank.registers().counts(),
+                    last.counts() + *counts,
+                    "{cpu}: bank moved by more than the step recorded"
+                );
+                *last = bank.registers();
+                self.models[class].estimate(counts)
+            }
+            None => {
+                debug_assert_eq!(bank.registers(), *last, "{cpu}: a halted bank moved");
+                Joules::ZERO + self.halt_shares[class].over(dt)
+            }
+        }
+    }
+
+    /// The bank registers of `cpu` as of the estimator's last read.
+    pub fn last_read(&self, cpu: CpuId) -> CounterSnapshot {
+        self.last[cpu.0]
     }
 
     /// The average power over an accounted interval; convenience for

@@ -35,7 +35,7 @@ pub use energy_balance::{EnergyAwareBalancer, EnergyBalanceConfig};
 pub use estimator::EnergyEstimator;
 pub use hot_migration::{HotMigration, HotSearch, HotTaskConfig, HotTaskMigrator};
 pub use metrics::{
-    group_runqueue_ratio, runqueue_power, runqueue_power_ratio, GroupRatioCache, PowerState,
-    PowerStateConfig,
+    group_runqueue_ratio, runqueue_power, runqueue_power_ratio, GroupRatioCache, GroupThermalCache,
+    PowerStamp, PowerState, PowerStateConfig,
 };
 pub use placement::{place_new_task, place_new_task_capacity, PlacementTable};

@@ -28,13 +28,25 @@
 //! [`ebs_thermal::ExpAverage::update`] evaluates, so each value moves
 //! by the same bits as a per-CPU `PowerAverage` would. Zero periods
 //! return before the memo is read, as `update` returns before
-//! computing a weight; the memo starts keyed on the zero period and so
-//! can never answer for a real one. Snapshots carry the values alone,
+//! computing a weight. Snapshots carry the values alone,
 //! as they always did (the parameters are configuration, the memo is
 //! derived).
+//!
+//! # Thermal ratios shared by a balancing instant
+//!
+//! A group's thermal power ratio is read by every CPU whose domain
+//! holds the group, and between two physics phases no thermal power
+//! moves. [`PowerState::stamp`] names the state of the values: an
+//! instance number, unique per `PowerState` and per clone, and a change
+//! count bumped by every fold, budget change and restore.
+//! [`GroupThermalCache`] keeps each unit's ratio with the stamp it was
+//! computed under, by the very expression
+//! [`PowerState::group_thermal_ratio`] evaluates, so a read under an
+//! unchanged stamp returns the bits a fresh scan would. The stamp is
+//! never serialized.
 
 use ebs_sched::System;
-use ebs_thermal::ExpWeight;
+use ebs_thermal::{ExpWeight, StepMemo};
 use ebs_topology::{CpuGroup, CpuId, GroupUnit, Topology};
 use ebs_units::{SimDuration, Watts};
 
@@ -65,21 +77,56 @@ impl Default for PowerStateConfig {
     }
 }
 
+/// Source of [`PowerState`] instance numbers.
+static INSTANCES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+fn next_instance() -> u64 {
+    INSTANCES.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}
+
+/// Names one state of a [`PowerState`]'s values (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PowerStamp {
+    instance: u64,
+    changes: u64,
+}
+
 /// Per-CPU scheduling metrics state.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PowerState {
     /// Thermal power per CPU, in watts (the Eq. 2 average values).
     thermal: Vec<f64>,
     /// The weighting rule every CPU's average shares.
     weight: ExpWeight,
-    /// `(period, effective weight)` of the last fold; see the module
+    /// The effective weight of the last period folded; see the module
     /// docs.
-    last_weight: (SimDuration, f64),
+    last_weight: StepMemo,
     max_power: Vec<Watts>,
     idle_power: Watts,
     /// Bumped when a budget changes; caches of budget-derived values
     /// (the group ratio cache) key on it.
     budget_gen: u64,
+    /// Unique per instance and per clone; see [`PowerState::stamp`].
+    instance: u64,
+    /// Changes to thermal powers or budgets so far (not serialized).
+    changes: u64,
+}
+
+impl Clone for PowerState {
+    /// A copy with its own instance number, so memos keyed on one
+    /// state's stamp never answer for the other's.
+    fn clone(&self) -> Self {
+        PowerState {
+            thermal: self.thermal.clone(),
+            weight: self.weight,
+            last_weight: self.last_weight,
+            max_power: self.max_power.clone(),
+            idle_power: self.idle_power,
+            budget_gen: self.budget_gen,
+            instance: next_instance(),
+            changes: self.changes,
+        }
+    }
 }
 
 impl PowerState {
@@ -94,10 +141,12 @@ impl PowerState {
         PowerState {
             thermal: vec![cfg.idle_power.0; n_cpus],
             weight: ExpWeight::with_time_constant(cfg.standard_period, cfg.time_constant),
-            last_weight: (SimDuration::ZERO, 0.0),
+            last_weight: StepMemo::new(),
             max_power: max_powers.to_vec(),
             idle_power: cfg.idle_power,
             budget_gen: 0,
+            instance: next_instance(),
+            changes: 0,
         }
     }
 
@@ -121,11 +170,20 @@ impl PowerState {
         if period.is_zero() {
             return Watts(*value);
         }
-        if self.last_weight.0 != period {
-            self.last_weight = (period, self.weight.effective(period));
-        }
-        *value = ExpWeight::fold(self.last_weight.1, power.0, *value);
+        let weight = self.last_weight.get(period, |p| self.weight.effective(p));
+        *value = ExpWeight::fold(weight, power.0, *value);
+        self.changes += 1;
         Watts(*value)
+    }
+
+    /// The current state of the thermal powers and budgets: it differs
+    /// from every earlier stamp of this instance and from every stamp
+    /// of any other instance.
+    pub fn stamp(&self) -> PowerStamp {
+        PowerStamp {
+            instance: self.instance,
+            changes: self.changes,
+        }
     }
 
     /// The thermal power of `cpu` — the scheduler's temperature proxy.
@@ -144,12 +202,14 @@ impl PowerState {
         assert!(max.is_sane(), "max power not sane");
         self.max_power[cpu.0] = max;
         self.budget_gen += 1;
+        self.changes += 1;
     }
 
-    /// Change counter of the per-CPU budgets; see
-    /// [`GroupRatioCache`].
-    pub fn budget_gen(&self) -> u64 {
-        self.budget_gen
+    /// The budgets' identity, which caches of budget-derived values
+    /// (see [`GroupRatioCache`]) key on: this instance and its budget
+    /// change counter.
+    pub fn budget_key(&self) -> (u64, u64) {
+        (self.instance, self.budget_gen)
     }
 
     /// The power attributed to an idle CPU.
@@ -238,14 +298,14 @@ pub fn group_runqueue_ratio(sys: &System, group: &CpuGroup, power: &PowerState) 
 /// O(CPUs), while yielding the same bits as a full rescan.
 ///
 /// Budget changes ([`PowerState::set_max_power`]) shift every ratio,
-/// so the whole cache also keys on [`PowerState::budget_gen`].
+/// so the whole cache also keys on [`PowerState::budget_key`].
 #[derive(Clone, Debug)]
 pub struct GroupRatioCache {
     /// Cached `(unit_gen, ratio_sum)` per core / package / node.
     core: Vec<(u64, f64)>,
     package: Vec<(u64, f64)>,
     node: Vec<(u64, f64)>,
-    budget_gen_seen: u64,
+    budget_seen: (u64, u64),
 }
 
 /// Sentinel forcing the first read of a slot to recompute (unit
@@ -259,7 +319,7 @@ impl GroupRatioCache {
             core: vec![(STALE, 0.0); topo.n_cores()],
             package: vec![(STALE, 0.0); topo.n_packages()],
             node: vec![(STALE, 0.0); topo.n_nodes()],
-            budget_gen_seen: 0,
+            budget_seen: (STALE, STALE),
         }
     }
 
@@ -267,16 +327,9 @@ impl GroupRatioCache {
     /// to [`group_runqueue_ratio`], amortised O(1) for unit-tagged
     /// groups.
     pub fn group_ratio(&mut self, sys: &System, group: &CpuGroup, power: &PowerState) -> f64 {
-        if power.budget_gen() != self.budget_gen_seen {
-            self.budget_gen_seen = power.budget_gen();
-            for slot in self
-                .core
-                .iter_mut()
-                .chain(self.package.iter_mut())
-                .chain(self.node.iter_mut())
-            {
-                slot.0 = STALE;
-            }
+        if power.budget_key() != self.budget_seen {
+            self.mark_all_stale();
+            self.budget_seen = power.budget_key();
         }
         // Singleton groups (SMT siblings, one-CPU packages) skip the
         // cache: the direct read is already O(1), and `r / 1.0 == r`
@@ -325,7 +378,58 @@ impl GroupRatioCache {
         {
             slot.0 = STALE;
         }
-        self.budget_gen_seen = 0;
+        self.budget_seen = (STALE, STALE);
+    }
+}
+
+/// Memoised group thermal power ratios, keyed by [`PowerState::stamp`]
+/// (see the module docs).
+#[derive(Clone, Debug)]
+pub struct GroupThermalCache {
+    /// Cached `(changes, ratio)` per core / package / node.
+    core: Vec<(u64, f64)>,
+    package: Vec<(u64, f64)>,
+    node: Vec<(u64, f64)>,
+    /// The instance the entries were computed from.
+    instance: u64,
+}
+
+impl GroupThermalCache {
+    /// Creates an all-stale cache shaped like `topo`.
+    pub fn new(topo: &Topology) -> Self {
+        GroupThermalCache {
+            core: vec![(STALE, 0.0); topo.n_cores()],
+            package: vec![(STALE, 0.0); topo.n_packages()],
+            node: vec![(STALE, 0.0); topo.n_nodes()],
+            instance: STALE,
+        }
+    }
+
+    /// [`PowerState::group_thermal_ratio`], bit for bit; O(1) per
+    /// unit-tagged group after its first read under a stamp.
+    pub fn group_thermal_ratio(&mut self, power: &PowerState, group: &CpuGroup) -> f64 {
+        let stamp = power.stamp();
+        if stamp.instance != self.instance {
+            self.instance = stamp.instance;
+            for slot in self
+                .core
+                .iter_mut()
+                .chain(self.package.iter_mut())
+                .chain(self.node.iter_mut())
+            {
+                slot.0 = STALE;
+            }
+        }
+        let slot = match (group.cpus(), group.unit()) {
+            ([_, _, ..], Some(GroupUnit::Core(c))) => &mut self.core[c.0],
+            ([_, _, ..], Some(GroupUnit::Package(p))) => &mut self.package[p.0],
+            ([_, _, ..], Some(GroupUnit::Node(n))) => &mut self.node[n.0],
+            _ => return power.group_thermal_ratio(group),
+        };
+        if slot.0 != stamp.changes {
+            *slot = (stamp.changes, power.group_thermal_ratio(group));
+        }
+        slot.1
     }
 }
 
@@ -358,6 +462,7 @@ impl ebs_store::Snapshot for PowerState {
             *p = r.watts()?;
         }
         self.budget_gen = r.u64()?;
+        self.changes += 1;
         Ok(())
     }
 }
@@ -468,10 +573,16 @@ mod tests {
     #[test]
     fn set_max_power_takes_effect() {
         let mut ps = PowerState::uniform(1, Watts(60.0), cfg());
-        let gen = ps.budget_gen();
+        let (key, stamp) = (ps.budget_key(), ps.stamp());
         ps.set_max_power(CpuId(0), Watts(40.0));
         assert_eq!(ps.max_power(CpuId(0)), Watts(40.0));
-        assert!(ps.budget_gen() > gen, "budget change must bump the gen");
+        assert_ne!(ps.budget_key(), key, "budget change must move the key");
+        assert_ne!(ps.stamp(), stamp, "budget change must move the stamp");
+        assert_ne!(
+            ps.clone().stamp(),
+            ps.stamp(),
+            "a clone is another instance"
+        );
     }
 
     #[test]

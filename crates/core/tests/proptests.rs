@@ -655,4 +655,67 @@ proptest! {
             prop_assert_eq!(bank.reads(), oracle_bank.reads());
         }
     }
+
+    /// The per-step read returns the bits the general `account` path
+    /// returns for the same step, counts the same reads, and leaves the
+    /// same last read behind: a running step's delta is the counts it
+    /// recorded, a halted step's bank has not moved. Random models
+    /// (negative weights included), classes, and step sequences.
+    #[test]
+    fn estimator_step_read_equals_the_account_path(
+        weights in prop::collection::vec(-5.0f64..50.0, ebs_counters::N_EVENTS),
+        steps in prop::collection::vec(
+            (0usize..3,
+             prop::option::of(prop::collection::vec(0u64..5_000, ebs_counters::N_EVENTS)),
+             1u64..30_000),
+            1..120,
+        ),
+    ) {
+        let mut w = [0.0; ebs_counters::N_EVENTS];
+        w.copy_from_slice(&weights);
+        let models = vec![
+            ebs_counters::EnergyModel::from_weights_nj(w),
+            ebs_counters::EnergyModel::ground_truth_weights(),
+        ];
+        let classes = vec![0, 1, 0];
+        let halts = vec![Watts(6.8), Watts(2.25)];
+        let mut step_est =
+            ebs_core::EnergyEstimator::with_classes(models.clone(), classes.clone(), halts.clone());
+        let mut acct_est = ebs_core::EnergyEstimator::with_classes(models, classes, halts);
+        let mut step_banks = vec![ebs_counters::CounterBank::new(); 3];
+        let mut acct_banks = vec![ebs_counters::CounterBank::new(); 3];
+        for (c, ran, us) in steps {
+            let (cpu, dt) = (CpuId(c), SimDuration::from_micros(us));
+            let (got, want) = match ran {
+                Some(counts) => {
+                    let mut a = [0u64; ebs_counters::N_EVENTS];
+                    a.copy_from_slice(&counts);
+                    let counts = ebs_counters::EventCounts::from_array(a);
+                    step_banks[c].record(&counts);
+                    acct_banks[c].record(&counts);
+                    (
+                        step_est.account_step(cpu, &mut step_banks[c], Some(&counts), dt),
+                        acct_est.account(cpu, &mut acct_banks[c], dt, SimDuration::ZERO),
+                    )
+                }
+                None => (
+                    step_est.account_step(cpu, &mut step_banks[c], None, dt),
+                    acct_est.account(cpu, &mut acct_banks[c], dt, dt),
+                ),
+            };
+            prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+            for c in 0..3 {
+                prop_assert_eq!(step_banks[c].reads(), acct_banks[c].reads());
+                prop_assert_eq!(step_est.last_read(CpuId(c)), acct_est.last_read(CpuId(c)));
+                prop_assert_eq!(step_banks[c].registers(), step_est.last_read(CpuId(c)));
+            }
+        }
+        let image = |est: &ebs_core::EnergyEstimator| {
+            let mut w = ebs_store::StateWriter::new();
+            est.save(&mut w);
+            w.finish()
+        };
+        let (got, want) = (image(&step_est), image(&acct_est));
+        prop_assert_eq!(got.as_bytes(), want.as_bytes());
+    }
 }

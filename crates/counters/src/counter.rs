@@ -45,6 +45,22 @@ impl CounterBank {
         }
     }
 
+    /// Counts one read whose values the reader already holds: the
+    /// per-step estimator read of a bank that moved by a known delta,
+    /// or not at all (see `ebs_core::EnergyEstimator::account_step`).
+    #[inline]
+    pub fn count_read(&mut self) {
+        self.reads += 1;
+    }
+
+    /// The current register values, without counting a read: for
+    /// consistency checks, not for accounting.
+    pub fn registers(&self) -> CounterSnapshot {
+        CounterSnapshot {
+            counts: self.counts,
+        }
+    }
+
     /// Number of snapshot reads since creation; the estimation overhead
     /// accounting in the simulator charges a fixed cost per read.
     pub fn reads(&self) -> u64 {
@@ -152,6 +168,17 @@ mod tests {
         let _ = bank.snapshot();
         let _ = bank.snapshot();
         assert_eq!(bank.reads(), 2);
+    }
+
+    #[test]
+    fn counted_reads_and_register_views() {
+        let mut bank = CounterBank::new();
+        bank.record(&counts(3, 4));
+        assert_eq!(bank.registers().counts(), counts(3, 4));
+        assert_eq!(bank.reads(), 0, "a register view is not a read");
+        bank.count_read();
+        assert_eq!(bank.reads(), 1);
+        assert_eq!(bank.snapshot(), bank.registers());
     }
 
     #[test]

@@ -323,32 +323,27 @@ impl Fleet {
         let boundary = self.now + self.cfg.epoch;
         let epoch_secs = self.cfg.epoch.as_secs_f64();
 
-        // --- Route (serial, due order). Runnable counts are kept
-        // current as arrivals land; power draw stays frozen at the
-        // previous epoch's measurement.
-        let mut routed = vec![0usize; self.hosts.len()];
-        let base_runnable: Vec<usize> = self
+        // --- Route (serial, due order). The dispatcher's view is built
+        // once per epoch: runnable counts are kept current in place as
+        // arrivals land; power draw stays frozen at the previous
+        // epoch's measurement.
+        let mut stats: Vec<HostStat> = self
             .hosts
             .iter()
-            .map(|h| h.engine.runnable_tasks())
+            .enumerate()
+            .map(|(i, h)| HostStat {
+                host: i,
+                runnable: h.engine.runnable_tasks(),
+                cpus: h.cpus,
+                power_w: h.power_w,
+                budget_w: h.share,
+            })
             .collect();
         let mut arrivals_this_epoch = 0u64;
         while self.arrivals.next_arrival() <= boundary {
             let due = self.arrivals.next_arrival();
             for a in self.arrivals.pop_due(due) {
                 let program = self.arrivals.spec().materialize(&a);
-                let stats: Vec<HostStat> = self
-                    .hosts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, h)| HostStat {
-                        host: i,
-                        runnable: base_runnable[i] + routed[i],
-                        cpus: h.cpus,
-                        power_w: h.power_w,
-                        budget_w: h.share,
-                    })
-                    .collect();
                 let idx = self.dispatcher.pick(&stats);
                 self.hosts[idx].engine.queue_arrival(RoutedArrival {
                     due,
@@ -356,7 +351,7 @@ impl Fleet {
                     seed: a.seed,
                     phase: a.phase,
                 });
-                routed[idx] += 1;
+                stats[idx].runnable += 1;
                 arrivals_this_epoch += 1;
             }
         }

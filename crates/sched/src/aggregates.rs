@@ -34,6 +34,13 @@
 //!   member-order scan as the code they replace — bitwise-identical
 //!   balancing decisions, at amortised O(1) reads.
 //!
+//! Above the node cells sits one **root cell** for the whole machine,
+//! updated by the same walk. Its generation is the top-level domain
+//! span's change counter (every other span is a core, package or node,
+//! which have cells of their own), and its `nr_queued` is the
+//! machine-wide count of waiting tasks. The root is derived state and
+//! never serialized: a restore rebuilds it from the node cells.
+//!
 //! [`System`]: crate::System
 
 use ebs_topology::{CpuId, GroupUnit, Topology};
@@ -59,6 +66,8 @@ pub struct LoadAggregates {
     core: Vec<AggCell>,
     package: Vec<AggCell>,
     node: Vec<AggCell>,
+    /// The whole machine (see the module docs).
+    root: AggCell,
     /// `(core, package, node)` table indices per CPU — the O(depth)
     /// update path.
     paths: Vec<(usize, usize, usize)>,
@@ -86,6 +95,7 @@ impl LoadAggregates {
             core: vec![AggCell::default(); topo.n_cores()],
             package: vec![AggCell::default(); topo.n_packages()],
             node: vec![AggCell::default(); topo.n_nodes()],
+            root: AggCell::default(),
             paths,
             cap_cpu: Vec::new(),
             cap_core: Vec::new(),
@@ -136,7 +146,8 @@ impl LoadAggregates {
         self.cap_cpu[cpu.0]
     }
 
-    /// Applies one runqueue change on `cpu` to every ancestor unit:
+    /// Applies one runqueue change on `cpu` to every ancestor unit and
+    /// the root:
     /// task-count deltas, a profile delta, and (for membership or
     /// profile changes, `bump_gen`) the generation bump consumers key
     /// their caches on.
@@ -153,6 +164,7 @@ impl LoadAggregates {
             &mut self.core[core],
             &mut self.package[package],
             &mut self.node[node],
+            &mut self.root,
         ] {
             cell.nr_running = cell
                 .nr_running
@@ -184,6 +196,25 @@ impl LoadAggregates {
             GroupUnit::Package(p) => self.package.get(p.0),
             GroupUnit::Node(n) => self.node.get(n.0),
         }
+    }
+
+    /// The root cell: the whole machine.
+    pub fn root(&self) -> &AggCell {
+        &self.root
+    }
+
+    /// Rebuilds the root cell from the node cells. Its generation
+    /// becomes the sum of theirs, so it is a function of the restored
+    /// state like every other generation.
+    fn rebuild_root(&mut self) {
+        let mut root = AggCell::default();
+        for cell in &self.node {
+            root.nr_running += cell.nr_running;
+            root.nr_queued += cell.nr_queued;
+            root.profile_sum += cell.profile_sum;
+            root.gen = root.gen.wrapping_add(cell.gen);
+        }
+        self.root = root;
     }
 }
 
@@ -236,7 +267,9 @@ impl ebs_store::Snapshot for LoadAggregates {
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         restore_cells(&mut self.core, r)?;
         restore_cells(&mut self.package, r)?;
-        restore_cells(&mut self.node, r)
+        restore_cells(&mut self.node, r)?;
+        self.rebuild_root();
+        Ok(())
     }
 }
 
@@ -261,6 +294,7 @@ mod tests {
         assert_eq!(pkg.nr_running, 1);
         let node = agg.cell(GroupUnit::Node(topo.node_of(CpuId(9)))).unwrap();
         assert_eq!(node.nr_running, 1);
+        assert_eq!((agg.root().nr_running, agg.root().gen), (1, 1));
         // Unrelated units untouched.
         assert_eq!(agg.cell(GroupUnit::Node(NodeId(1))).unwrap().nr_running, 0);
         assert_eq!(agg.cell(GroupUnit::Package(PackageId(3))).unwrap().gen, 0);
@@ -276,6 +310,25 @@ mod tests {
         assert_eq!(cell.profile_sum, 0.0);
         assert_eq!(cell.nr_running, 0);
         assert_eq!(cell.gen, 2);
+    }
+
+    #[test]
+    fn restore_rebuilds_the_root_from_the_nodes() {
+        use ebs_store::Snapshot;
+        let topo = Topology::build_cmp(2, 2, 2, 1);
+        let mut agg = LoadAggregates::new(&topo);
+        agg.apply(CpuId(0), 1, 1, 10.0, true);
+        agg.apply(CpuId(7), 2, 1, 20.0, true);
+        agg.apply(CpuId(7), 0, -1, 0.0, false);
+        let mut w = ebs_store::StateWriter::new();
+        agg.save(&mut w);
+        let image = w.finish();
+        let mut fresh = LoadAggregates::new(&topo);
+        fresh.restore(&mut image.open().unwrap()).unwrap();
+        let root = fresh.root();
+        assert_eq!((root.nr_running, root.nr_queued), (3, 1));
+        assert_eq!(root.profile_sum, 30.0);
+        assert_eq!(root.gen, 2, "the sum of the node generations");
     }
 
     #[test]

@@ -35,19 +35,20 @@ mod aggregates;
 mod load_balance;
 mod prio_array;
 mod runqueue;
+mod spans;
 mod system;
 mod task;
 mod timers;
 
 pub use aggregates::{AggCell, LoadAggregates};
 pub use load_balance::{
-    balance_domain, busiest_queue_in_group, busiest_queued_cpu, find_busiest_group,
-    find_busiest_group_capacity, find_busiest_group_scan, group_avg_load, group_avg_load_scan,
-    group_effective_load, idlest_cpu, pull_tasks, BalanceOutcome, LoadBalancer, LoadBalancerConfig,
-    AGGREGATE_CPU_THRESHOLD,
+    busiest_queue_in_group, busiest_queued_cpu, find_busiest_group, find_busiest_group_capacity,
+    find_busiest_group_scan, group_avg_load, group_avg_load_scan, group_effective_load, idlest_cpu,
+    pull_tasks, BalanceOutcome, LoadBalancer, LoadBalancerConfig, AGGREGATE_CPU_THRESHOLD,
 };
 pub use prio_array::PrioArray;
 pub use runqueue::RunQueue;
+pub use spans::{LevelPos, LoadMemo, SpanIndex};
 pub use system::{MigrateError, MigrationReason, SwitchResult, System, SystemStats, TickResult};
 pub use task::{
     timeslice_for_nice, BinaryId, Task, TaskConfig, TaskId, TaskState, DEFAULT_TIMESLICE,

@@ -12,6 +12,7 @@
 //! The group/queue search helpers are public: `ebs-core` reuses them to
 //! implement the merged energy-and-load balancing algorithm of Fig. 4.
 
+use crate::spans::{LevelPos, LoadMemo, SpanIndex};
 use crate::system::{MigrationReason, System};
 use crate::task::TaskId;
 use crate::timers::BalanceTimers;
@@ -78,6 +79,11 @@ pub struct BalanceOutcome {
 pub struct LoadBalancer {
     cfg: LoadBalancerConfig,
     timers: BalanceTimers,
+    /// Local groups and span slots per (CPU, level).
+    index: SpanIndex,
+    /// Per-span answers (see [`LoadMemo`]); only on the aggregate
+    /// paths, so the scan baseline stays a scan.
+    memo: Option<LoadMemo>,
 }
 
 impl LoadBalancer {
@@ -85,10 +91,23 @@ impl LoadBalancer {
     /// unspecified `use_aggregates` resolves here, against the
     /// machine's size (see [`AGGREGATE_CPU_THRESHOLD`]).
     pub fn new(sys: &System, mut cfg: LoadBalancerConfig) -> Self {
-        cfg.use_aggregates = Some(cfg.resolve_aggregates(sys.topology().n_cpus()));
+        let aggregates = cfg.resolve_aggregates(sys.topology().n_cpus());
+        cfg.use_aggregates = Some(aggregates);
+        let index = SpanIndex::new(sys.topology());
+        let memo = aggregates.then(|| LoadMemo::new(sys.topology(), &index));
         LoadBalancer {
             cfg,
             timers: BalanceTimers::new(sys),
+            index,
+            memo,
+        }
+    }
+
+    /// Drops every memoised answer; the engine calls this when it
+    /// restores the system the balancer reads.
+    pub fn invalidate(&mut self) {
+        if let Some(memo) = &mut self.memo {
+            memo.invalidate();
         }
     }
 
@@ -125,10 +144,54 @@ impl LoadBalancer {
         let topo = sys.topology_shared();
         for (level, domain) in topo.domains(cpu).iter().enumerate() {
             if self.timers.fire(cpu, level, now, domain.balance_interval()) {
-                outcome.pulled += balance_domain(sys, cpu, domain, &self.cfg);
+                let pos = self.index.pos(cpu, level);
+                outcome.pulled += self.balance_domain(sys, cpu, pos, domain);
             }
         }
         outcome
+    }
+
+    /// One balancing attempt within one domain, pulling towards `cpu`.
+    /// Returns the number of tasks moved.
+    fn balance_domain(
+        &mut self,
+        sys: &mut System,
+        cpu: CpuId,
+        pos: LevelPos,
+        domain: &SchedDomain,
+    ) -> usize {
+        let busiest = match &mut self.memo {
+            Some(memo) => memo.busiest_group(sys, &self.index, pos, domain, false),
+            None => find_busiest_group_scan(sys, domain, pos.local),
+        };
+        let Some((busiest_idx, _)) = busiest else {
+            return 0;
+        };
+        let group = &domain.groups()[busiest_idx];
+        let src = match &mut self.memo {
+            Some(memo) => memo.busiest_queue(sys, group),
+            None => busiest_queue_in_group(sys, group),
+        };
+        let Some(src) = src else {
+            return 0;
+        };
+        let src_load = sys.nr_running(src);
+        let dst_load = sys.nr_running(cpu);
+        if src_load < dst_load + self.cfg.min_imbalance {
+            return 0;
+        }
+        let n_move = (src_load - dst_load) / 2;
+        if n_move == 0 {
+            return 0;
+        }
+        pull_tasks(
+            sys,
+            src,
+            cpu,
+            n_move,
+            MigrationReason::LoadBalance,
+            |_, _| true,
+        )
     }
 
     /// New-idle balancing: called when `cpu` just went idle; pulls one
@@ -153,47 +216,6 @@ impl LoadBalancer {
         }
         BalanceOutcome::default()
     }
-}
-
-/// One balancing attempt within one domain, pulling towards `cpu`.
-/// Returns the number of tasks moved.
-pub fn balance_domain(
-    sys: &mut System,
-    cpu: CpuId,
-    domain: &SchedDomain,
-    cfg: &LoadBalancerConfig,
-) -> usize {
-    let Some(local_idx) = domain.local_group_index(cpu) else {
-        return 0;
-    };
-    let busiest = if cfg.resolve_aggregates(sys.topology().n_cpus()) {
-        find_busiest_group(sys, domain, local_idx)
-    } else {
-        find_busiest_group_scan(sys, domain, local_idx)
-    };
-    let Some((busiest_idx, _)) = busiest else {
-        return 0;
-    };
-    let Some(src) = busiest_queue_in_group(sys, &domain.groups()[busiest_idx]) else {
-        return 0;
-    };
-    let src_load = sys.nr_running(src);
-    let dst_load = sys.nr_running(cpu);
-    if src_load < dst_load + cfg.min_imbalance {
-        return 0;
-    }
-    let n_move = (src_load - dst_load) / 2;
-    if n_move == 0 {
-        return 0;
-    }
-    pull_tasks(
-        sys,
-        src,
-        cpu,
-        n_move,
-        MigrationReason::LoadBalance,
-        |_, _| true,
-    )
 }
 
 /// Finds the group with the highest average load (`nr_running` per
@@ -375,7 +397,9 @@ impl ebs_store::Snapshot for LoadBalancer {
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        self.timers.restore(r)
+        self.timers.restore(r)?;
+        self.invalidate();
+        Ok(())
     }
 }
 

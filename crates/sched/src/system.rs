@@ -619,6 +619,18 @@ impl System {
         }
     }
 
+    /// The per-unit aggregate tables, for consumers that key memos on
+    /// unit generations (see [`crate::SpanIndex`]).
+    pub fn aggregates(&self) -> &LoadAggregates {
+        &self.agg
+    }
+
+    /// Waiting (queued, not running) tasks across the whole machine:
+    /// the root cell's count, O(1).
+    pub fn nr_queued_total(&self) -> usize {
+        self.agg.root().nr_queued
+    }
+
     /// Queued-plus-running profile total of one CPU's runqueue.
     fn rq_profile_total(&self, cpu: CpuId) -> f64 {
         let rq = &self.rqs[cpu.0];
@@ -742,6 +754,18 @@ impl System {
             let node = ebs_topology::NodeId(node);
             check(GroupUnit::Node(node), &self.topology.cpus_of_node(node));
         }
+        let root = self.agg.root();
+        let all: Vec<CpuId> = self.topology.cpu_ids().collect();
+        assert_eq!(
+            root.nr_running,
+            all.iter().map(|&c| self.nr_running(c)).sum::<usize>(),
+            "root aggregate nr_running drifted"
+        );
+        assert_eq!(
+            root.nr_queued,
+            all.iter().map(|&c| self.rq(c).nr_queued()).sum::<usize>(),
+            "root aggregate nr_queued drifted"
+        );
     }
 }
 

@@ -266,9 +266,40 @@ fn old_walk(
             continue;
         }
         table[cpu.0][level] = now + domain.balance_interval();
-        pulled += ebs_sched::balance_domain(sys, cpu, domain, cfg);
+        pulled += balance_domain(sys, cpu, domain, cfg);
     }
     pulled
+}
+
+/// One balancing attempt within one domain, searched afresh: the local
+/// group by a scan of the span, the busiest group and queue by the
+/// public search functions. The memoised balancer must match it.
+fn balance_domain(
+    sys: &mut System,
+    cpu: CpuId,
+    domain: &ebs_topology::SchedDomain,
+    cfg: &LoadBalancerConfig,
+) -> usize {
+    let local = domain.local_group_index(cpu).unwrap();
+    let Some((busiest, _)) = ebs_sched::find_busiest_group(sys, domain, local) else {
+        return 0;
+    };
+    let Some(src) = ebs_sched::busiest_queue_in_group(sys, &domain.groups()[busiest]) else {
+        return 0;
+    };
+    let (src_load, dst_load) = (sys.nr_running(src), sys.nr_running(cpu));
+    if src_load < dst_load + cfg.min_imbalance || (src_load - dst_load) / 2 == 0 {
+        return 0;
+    }
+    let n_move = (src_load - dst_load) / 2;
+    ebs_sched::pull_tasks(
+        sys,
+        src,
+        cpu,
+        n_move,
+        MigrationReason::LoadBalance,
+        |_, _| true,
+    )
 }
 
 /// One step of a timer sequence.

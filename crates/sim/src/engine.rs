@@ -35,7 +35,7 @@ use ebs_sched::{
     idlest_cpu, BalanceTimers, BinaryId, LoadBalancer, LoadBalancerConfig, System, TaskConfig,
     TaskId,
 };
-use ebs_thermal::ThrottleState;
+use ebs_thermal::{StepMemo, ThrottleState};
 use ebs_topology::CpuId;
 use ebs_trace::{
     CounterId, EventKind, EventTrace, GaugeId, MetricsRegistry, PhaseProfiler, TraceSink,
@@ -125,6 +125,16 @@ enum Balancer {
     Baseline(LoadBalancer),
     /// The merged energy-and-load balancer of Fig. 4.
     EnergyAware(EnergyAwareBalancer),
+}
+
+impl Balancer {
+    /// The earliest instant any CPU's domain level is due.
+    fn next_due(&self) -> SimTime {
+        match self {
+            Balancer::Baseline(lb) => lb.next_due(),
+            Balancer::EnergyAware(eb) => eb.next_due(),
+        }
+    }
 }
 
 /// Per-CPU accounting of the currently running task's interval (energy
@@ -997,14 +1007,14 @@ impl Simulation {
             dt = dt.min(m.next.saturating_since(self.now));
         }
         // Periodic balancing passes.
-        let due = match &self.balancer {
-            Balancer::Baseline(lb) => lb.next_due(),
-            Balancer::EnergyAware(eb) => eb.next_due(),
-        };
-        dt = dt.min(due.saturating_since(self.now));
+        dt = dt.min(self.balancer.next_due().saturating_since(self.now));
 
         let tau_s = self.thermal_tau.as_secs_f64();
         let threads_per_core = self.sys.topology().threads_per_core().max(1);
+        // `w(span)` of the throttle screen below: the span only shrinks
+        // over the package loop, so most packages repeat the previous
+        // one's weight.
+        let mut w_cap = StepMemo::new();
         for (pkg, cpus) in self.pkg_cpus.iter().enumerate() {
             let pkg_running = self.machine.throttles[pkg].state() == ThrottleState::Running;
             // A frozen package (all its domains frozen) has no running
@@ -1099,7 +1109,7 @@ impl Simulation {
                     // by ~120 W per hardware thread, a package more
                     // than `margin` away cannot reach the threshold
                     // this span.
-                    let w_cap = 1.0 - (-dt.as_secs_f64() / tau_s).exp();
+                    let w_cap = w_cap.get(dt, |dt| 1.0 - (-dt.as_secs_f64() / tau_s).exp());
                     let margin = w_cap * 120.0 * cpus.len() as f64;
                     if (avg - thr).abs() <= margin {
                         let sample = self.predicted_sample(pkg, cpus, threads_per_core);
@@ -1301,8 +1311,13 @@ impl Simulation {
         }
     }
 
-    /// Gives idle CPUs with runnable tasks something to run.
+    /// Gives idle CPUs with runnable tasks something to run. A CPU
+    /// qualifies only with a waiting task, so none does while the
+    /// machine-wide queued count is zero.
     fn dispatch_idle_cpus(&mut self) {
+        if self.sys.nr_queued_total() == 0 {
+            return;
+        }
         for c in 0..self.n_cpus() {
             let cpu = CpuId(c);
             if self.sys.current(cpu).is_none() && !self.sys.rq(cpu).is_idle() {
@@ -1402,11 +1417,11 @@ impl Simulation {
                     // kernel programs the P-state itself, so it scales
                     // the counter-derived energy by the known (V/V₀)²
                     // just as it adds the known halt power for idling.
-                    let est = self.estimator.account(
+                    let est = self.estimator.account_step(
                         cpu,
                         &mut self.machine.banks[cpu.0],
+                        Some(&counts),
                         dt,
-                        SimDuration::ZERO,
                     ) * vscale_sq;
                     self.acc[cpu.0].energy += est;
                     self.acc[cpu.0].time += dt;
@@ -1416,9 +1431,9 @@ impl Simulation {
                     // Idle or throttled: halt power only (the class's
                     // own share on hybrid machines).
                     pkg_energy += self.machine.halt_power_share_of(cpu).over(dt);
-                    let est = self
-                        .estimator
-                        .account(cpu, &mut self.machine.banks[cpu.0], dt, dt);
+                    let est =
+                        self.estimator
+                            .account_step(cpu, &mut self.machine.banks[cpu.0], None, dt);
                     self.estimated_energy += est;
                     self.power.observe(cpu, est.average_power(dt), dt);
                 }
@@ -1673,8 +1688,8 @@ impl Simulation {
         // fixed until the next physics phase, so when any package is
         // hot the destination search's coolness table is filled once
         // here for the whole tick.
+        let mut any_hot = false;
         if self.cfg.hot_task_migration {
-            let mut any_hot = false;
             for pkg in 0..self.pkg_cpus.len() {
                 let cpus = &self.pkg_cpus[pkg];
                 let thermal = self.power.thermal_power_sum(cpus);
@@ -1726,8 +1741,16 @@ impl Simulation {
             }
         }
 
+        // With no package hot and no balancing level due, an idle CPU
+        // has nothing to do unless it waits for new-idle balancing. No
+        // pass below arms a deadline at or before now (firing re-arms
+        // one interval later), so the test holds for the whole loop.
+        let quiet = !any_hot && self.balancer.next_due() > self.now;
         for c in 0..self.n_cpus() {
             let cpu = CpuId(c);
+            if quiet && !self.newidle_pending[c] && self.sys.current(cpu).is_none() {
+                continue;
+            }
             // Timeslice accounting only while actually executing.
             let pkg = self.sys.topology().package_of(cpu).0;
             let throttled = self.machine.throttles[pkg].state() == ThrottleState::Halted;
@@ -2037,6 +2060,24 @@ impl Simulation {
         }
     }
 
+    /// Checks the invariant the per-step estimator read relies on (see
+    /// [`EnergyEstimator::account_step`]): between steps, every CPU's
+    /// counter bank holds exactly the registers of the estimator's
+    /// last read of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first CPU whose bank differs.
+    pub fn validate_counter_reads(&self) {
+        for (c, bank) in self.machine.banks.iter().enumerate() {
+            assert_eq!(
+                bank.registers(),
+                self.estimator.last_read(CpuId(c)),
+                "cpu{c}: counter bank differs from the estimator's last read"
+            );
+        }
+    }
+
     pub(crate) fn n_cpus(&self) -> usize {
         self.sys.topology().n_cpus()
     }
@@ -2335,6 +2376,10 @@ impl ebs_store::Snapshot for Simulation {
         // Unit generations restart from the image's values, so memo
         // entries of the replaced system could match them by accident.
         self.hot_search.invalidate();
+        match &mut self.balancer {
+            Balancer::Baseline(lb) => lb.invalidate(),
+            Balancer::EnergyAware(eb) => eb.invalidate(),
+        }
         self.machine.restore(r)?;
         r.key("policies")?;
         self.power.restore(r)?;

@@ -149,6 +149,11 @@ impl ParallelSimulation {
         self.shards.len()
     }
 
+    /// The partitions' engines, in package order.
+    pub fn partition_engines(&self) -> &[Simulation] {
+        &self.shards
+    }
+
     /// The recorded cross-partition handoffs, in application order.
     pub fn handoff_log(&self) -> &[HandoffRecord] {
         &self.handoffs

@@ -17,7 +17,8 @@
 //!   shared by averages that fold the same periods.
 //! - [`RcThermalModel`] / [`ThermalNode`]: the RC network with exact
 //!   exponential integration, per-CPU heterogeneous cooling, and the
-//!   derived *maximum power* of a CPU.
+//!   derived *maximum power* of a CPU, and [`StepMemo`], which keeps
+//!   a step-length function's last value.
 //! - [`calibrate`]: fitting R and the time constant from a recorded
 //!   heating curve, mirroring the paper's off-line calibration.
 //! - [`ThrottleController`]: the `hlt`-based bang-bang temperature
@@ -34,5 +35,5 @@ pub mod online;
 pub use cmp::{CmpThermalModel, CmpThermalNode};
 pub use expavg::{ExpAverage, ExpWeight, PowerAverage};
 pub use online::OnlineCalibrator;
-pub use rc_model::{RcThermalModel, ThermalNode};
+pub use rc_model::{RcThermalModel, StepMemo, ThermalNode};
 pub use throttle::{ThrottleController, ThrottleState, ThrottleStats};

@@ -12,6 +12,16 @@
 //! time constant `tau = R * C` towards the steady state
 //! `T_ambient + R * P`. The integration below uses that exact solution,
 //! so simulation steps of any length are stable and bit-reproducible.
+//!
+//! The decay factor `exp(-dt / tau)` depends on the step length alone,
+//! and an engine steps every package by the same `dt`, often many steps
+//! in a row. [`ThermalNode`] therefore keeps the factor in a
+//! [`StepMemo`] and reuses it while `dt` repeats. The memo holds the
+//! very `f64` the expression returns for that `dt` (a pure function of
+//! `dt` and the node's fixed parameters), so a step moves the
+//! temperature by the same bits either way. The memo is derived state:
+//! snapshots carry the temperature alone, and a restored node keeps a
+//! valid memo.
 
 use ebs_units::{Celsius, SimDuration, Watts};
 
@@ -86,25 +96,58 @@ impl RcThermalModel {
     }
 }
 
+/// A pure function of the step length, memoised for the last length it
+/// was asked for: a repeated length returns the stored `f64`, which is
+/// the bits the function returns for it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StepMemo {
+    last: Option<(SimDuration, f64)>,
+}
+
+impl StepMemo {
+    /// An empty memo.
+    pub const fn new() -> Self {
+        StepMemo { last: None }
+    }
+
+    /// `f(dt)`, calling `f` only when `dt` differs from the last
+    /// length asked for. Every call on one memo must pass the same
+    /// function.
+    #[inline]
+    pub fn get(&mut self, dt: SimDuration, f: impl FnOnce(SimDuration) -> f64) -> f64 {
+        match self.last {
+            Some((last, value)) if last == dt => value,
+            _ => {
+                let value = f(dt);
+                self.last = Some((dt, value));
+                value
+            }
+        }
+    }
+}
+
 /// The evolving thermal state of one physical processor.
 #[derive(Clone, Copy, Debug)]
 pub struct ThermalNode {
     model: RcThermalModel,
     temperature: Celsius,
+    /// `exp(-dt / tau)` of the last step length; see the module docs.
+    decay: StepMemo,
 }
 
 impl ThermalNode {
     /// Creates a node at ambient temperature.
     pub fn new(model: RcThermalModel) -> Self {
-        ThermalNode {
-            temperature: model.ambient,
-            model,
-        }
+        ThermalNode::with_temperature(model, model.ambient)
     }
 
     /// Creates a node at a specific initial temperature.
     pub fn with_temperature(model: RcThermalModel, temperature: Celsius) -> Self {
-        ThermalNode { model, temperature }
+        ThermalNode {
+            model,
+            temperature,
+            decay: StepMemo::new(),
+        }
     }
 
     /// The node's thermal parameters.
@@ -126,7 +169,7 @@ impl ThermalNode {
         }
         let t_inf = self.model.steady_state(power);
         let tau = self.model.resistance_k_per_w * self.model.capacitance_j_per_k;
-        let decay = (-dt.as_secs_f64() / tau).exp();
+        let decay = self.decay.get(dt, |dt| (-dt.as_secs_f64() / tau).exp());
         self.temperature = Celsius(t_inf.0 + (self.temperature.0 - t_inf.0) * decay);
         self.temperature
     }

@@ -1,6 +1,9 @@
 //! Property-based tests for the thermal substrate.
 
-use ebs_thermal::{calibrate, ExpAverage, RcThermalModel, ThermalNode, ThrottleController};
+use ebs_store::Snapshot as _;
+use ebs_thermal::{
+    calibrate, ExpAverage, RcThermalModel, StepMemo, ThermalNode, ThrottleController,
+};
 use ebs_units::{Celsius, SimDuration, Watts};
 use proptest::prelude::*;
 
@@ -95,5 +98,63 @@ proptest! {
         prop_assert!(stats.throttled <= stats.observed);
         let frac = stats.throttled_fraction();
         prop_assert!((0.0..=1.0).contains(&frac));
+    }
+
+    /// A node's memoised decay factor moves the temperature by the bits
+    /// a fresh `exp()` gives, over any step sequence, across clones and
+    /// restores into fresh nodes, and the image stays the temperature
+    /// alone. The stride's `w(span)` memo likewise returns the fresh
+    /// value for any span sequence.
+    #[test]
+    fn memoised_decay_equals_a_fresh_exp(
+        cooling in 0.5f64..1.5,
+        steps in prop::collection::vec((0.0f64..120.0, 0u64..4, 1u64..50_000), 1..120),
+        fork_at in 0usize..120,
+    ) {
+        let model = RcThermalModel::reference().with_cooling_factor(cooling);
+        let tau = model.resistance_k_per_w * model.capacitance_j_per_k;
+        let fresh = |t: f64, p: f64, dt: SimDuration| {
+            let t_inf = model.steady_state(Watts(p)).0;
+            if dt.is_zero() {
+                return t;
+            }
+            t_inf + (t - t_inf) * (-dt.as_secs_f64() / tau).exp()
+        };
+        let image = |node: &ThermalNode| {
+            let mut w = ebs_store::StateWriter::new();
+            node.save(&mut w);
+            w.finish()
+        };
+        let mut node = ThermalNode::new(model);
+        let mut forks: Vec<ThermalNode> = Vec::new();
+        let mut want = model.ambient.0;
+        let mut w_cap = StepMemo::new();
+        let mut last_dt = SimDuration::ZERO;
+        for (i, &(p, repeat, us)) in steps.iter().enumerate() {
+            // Mostly repeated step lengths (the memo's case), sometimes
+            // a zero step or a new one.
+            let dt = match repeat {
+                0 => SimDuration::ZERO,
+                1 => SimDuration::from_micros(us),
+                _ => last_dt,
+            };
+            last_dt = dt;
+            if i == fork_at {
+                forks.push(node);
+                let mut restored = ThermalNode::new(model);
+                restored.restore(&mut image(&node).open().unwrap()).unwrap();
+                forks.push(restored);
+            }
+            want = fresh(want, p, dt);
+            for n in std::iter::once(&mut node).chain(forks.iter_mut()) {
+                prop_assert_eq!(n.step(Watts(p), dt).0.to_bits(), want.to_bits());
+            }
+            let w = w_cap.get(dt, |dt| 1.0 - (-dt.as_secs_f64() / tau).exp());
+            prop_assert_eq!(w.to_bits(), (1.0 - (-dt.as_secs_f64() / tau).exp()).to_bits());
+        }
+        let mut bytes = ebs_store::StateWriter::new();
+        bytes.celsius(Celsius(want));
+        let (got, want) = (image(&node), bytes.finish());
+        prop_assert_eq!(got.as_bytes(), want.as_bytes());
     }
 }

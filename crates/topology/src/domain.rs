@@ -174,6 +174,12 @@ impl SchedDomain {
 
     /// Index of the group containing `cpu`, if any — the *local group*
     /// from that CPU's perspective.
+    ///
+    /// This scans the span: O(span) `contains` checks, 256 at the top
+    /// level of a 256-CPU machine. Per-CPU domain stacks never change,
+    /// so the balancers read each (CPU, level)'s answer from a table
+    /// built once (`ebs_sched::SpanIndex`) instead of calling this in
+    /// their walk.
     pub fn local_group_index(&self, cpu: CpuId) -> Option<usize> {
         self.groups.iter().position(|g| g.contains(cpu))
     }
