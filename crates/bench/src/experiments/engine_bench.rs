@@ -18,7 +18,7 @@
 use crate::experiments::scaling;
 use crate::fmt::Table;
 use ebs_dvfs::GovernorKind;
-use ebs_sim::{build_engine, MaxPowerSpec, SimConfig, Simulation};
+use ebs_sim::{MaxPowerSpec, SimConfig, Simulation};
 use ebs_topology::TopologyPreset;
 use ebs_units::{SimDuration, Watts};
 use ebs_workloads::{catalog, LoadCurve, OpenWorkload};
@@ -31,9 +31,8 @@ pub struct EngineBenchRow {
     pub topology: &'static str,
     /// Logical CPUs of the shape.
     pub cpus: usize,
-    /// Engine mode: "fixed", "strided", or "parN" (the partitioned
-    /// core with N workers requested; threads engage only when the
-    /// host offers parallelism).
+    /// Engine core: "fixed" (fixed tick) or "strided" (variable
+    /// stride).
     pub mode: &'static str,
     /// DVFS mode of the cell: "off", "cadence" (fixed 10 ms governor
     /// interval) or "event" (hold-band triggers).
@@ -152,20 +151,15 @@ fn cell(preset: TopologyPreset, strided: bool, dvfs: &str) -> SimConfig {
     }
 }
 
-/// The (engine mode, DVFS mode, workers) matrix: the classic
-/// fixed-vs-strided pair without DVFS, the strided DVFS cells where
-/// the governor cadence used to floor every stride — the before
-/// ("cadence") and after ("event") of the event-driven governor path —
-/// and the partitioned core's worker ladder ("par1" must reproduce
-/// "strided" bit-exactly; "par4" exercises per-package partitions).
-/// `workers == 0` selects the sequential engine.
-const MODES: [(&str, bool, &str, usize); 6] = [
-    ("fixed", false, "off", 0),
-    ("strided", true, "off", 0),
-    ("strided", true, "cadence", 0),
-    ("strided", true, "event", 0),
-    ("par1", true, "off", 1),
-    ("par4", true, "off", 4),
+/// The (engine mode, DVFS mode) matrix: the classic fixed-vs-strided
+/// pair without DVFS, and the strided DVFS cells where the governor
+/// cadence used to floor every stride — the before ("cadence") and
+/// after ("event") of the event-driven governor path.
+const MODES: [(&str, bool, &str); 4] = [
+    ("fixed", false, "off"),
+    ("strided", true, "off"),
+    ("strided", true, "cadence"),
+    ("strided", true, "event"),
 ];
 
 /// Runs the benchmark. `quick` shortens the simulated horizon and the
@@ -182,19 +176,11 @@ pub fn run(quick: bool) -> EngineBench {
     };
     let mut rows = Vec::new();
     for preset in presets {
-        for (mode, strided, dvfs, workers) in MODES {
+        for (mode, strided, dvfs) in MODES {
             let cfg = cell(preset, strided, dvfs);
             let cpus = cfg.n_cpus();
-            // `workers == 0` leaves the config sequential;
-            // `build_engine` then picks the core — no per-core dispatch
-            // here anymore.
-            let cfg = if workers > 0 {
-                cfg.parallel(workers)
-            } else {
-                cfg
-            };
             let start = Instant::now();
-            let mut sim = build_engine(cfg);
+            let mut sim = Simulation::new(cfg);
             sim.run_for(duration);
             let (wall_s, report) = (start.elapsed().as_secs_f64().max(1e-9), sim.report());
             let sim_s = report.duration.as_secs_f64();
@@ -279,18 +265,6 @@ impl EngineBench {
         Some(
             self.cell(topology, "fixed", "off")?.wall_s
                 / self.cell(topology, "strided", "off")?.wall_s,
-        )
-    }
-
-    /// Simulated-seconds-per-wall-second ratio of a partitioned mode
-    /// ("par1"/"par4") over single-thread strided for one topology
-    /// (DVFS off) — the parallel-core speedup gate. Meaningful only
-    /// when the host offers parallelism; on a single-CPU host the
-    /// partitions step serially and the ratio hovers near 1.
-    pub fn parallel_speedup(&self, topology: &str, mode: &str) -> Option<f64> {
-        Some(
-            self.cell(topology, mode, "off")?.sim_per_wall
-                / self.cell(topology, "strided", "off")?.sim_per_wall,
         )
     }
 
@@ -432,8 +406,8 @@ mod tests {
     fn quick_bench_runs_and_modes_agree_on_work() {
         let bench = run(true);
         // 2 presets × (fixed/off, strided/off, strided/cadence,
-        // strided/event, par1/off, par4/off).
-        assert_eq!(bench.rows.len(), 12);
+        // strided/event).
+        assert_eq!(bench.rows.len(), 8);
         for topo in ["xseries445", "numa16"] {
             // Every comparison below is counter-based (steps retired,
             // instructions, decisions): single-core CI containers make
@@ -474,24 +448,9 @@ mod tests {
             let rel = (cadence.instructions as f64 - event.instructions as f64).abs()
                 / cadence.instructions as f64;
             assert!(rel < 0.03, "{topo}: dvfs work drifted {rel}");
-            // The partitioned core with one worker is the strided core
-            // verbatim: counters match exactly, not just closely.
-            let par1 = bench.cell(topo, "par1", "off").unwrap();
-            assert_eq!(par1.steps, strided.steps, "{topo}: par1 steps diverged");
-            assert_eq!(
-                par1.instructions, strided.instructions,
-                "{topo}: par1 work diverged"
-            );
-            // Per-package partitions discretise cross-package policy at
-            // horizon boundaries; the retired work must still agree.
-            let par4 = bench.cell(topo, "par4", "off").unwrap();
-            assert!(par4.steps > 0);
-            let rel = (strided.instructions as f64 - par4.instructions as f64).abs()
-                / strided.instructions as f64;
-            assert!(rel < 0.03, "{topo}: par4 work drifted {rel}");
         }
         let csv = bench.to_csv();
-        assert_eq!(csv.lines().count(), 13);
+        assert_eq!(csv.lines().count(), 9);
         // The observability stack must not perturb the simulation:
         // bit-identical reports subsume every counter comparison, and
         // the phase profile covers the whole loop. All counter-based —

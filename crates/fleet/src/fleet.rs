@@ -7,10 +7,9 @@
 //! fleet drains every arrival due within the upcoming epoch from the
 //! shared [`ArrivalProcess`] — one at a time, in due order — and asks
 //! the [`Dispatcher`] where each one goes. The chosen host's engine
-//! gets the arrival as a [`RoutedArrival`] (the same currency the
-//! parallel core's synchronizer uses between packages) and spawns it
-//! at its exact due instant during the epoch. The hosts then step
-//! through the epoch concurrently via [`map_parallel`].
+//! gets the arrival as a [`RoutedArrival`] and spawns it at its exact
+//! due instant during the epoch. The hosts then step through the epoch
+//! concurrently via [`map_parallel`].
 //!
 //! Determinism: routing is serial and a pure function of
 //! epoch-boundary state; hosts are independent engines with disjoint
@@ -22,8 +21,8 @@
 use crate::budget::PowerBudget;
 use crate::dispatch::{DispatchPolicy, Dispatcher, HostStat};
 use ebs_sim::{
-    build_engine, divergence_verdict, map_parallel, LatencyStats, MaxPowerSpec, RoutedArrival,
-    SimConfig, SimEngine, SimReport,
+    divergence_verdict, map_parallel, LatencyStats, MaxPowerSpec, RoutedArrival, SimConfig,
+    SimEngine, SimReport, Simulation,
 };
 use ebs_topology::TopologyPreset;
 use ebs_units::{Joules, SimDuration, SimTime, Watts};
@@ -124,7 +123,7 @@ impl FleetConfig {
 
 /// One simulated host: an engine plus the dispatcher's book-keeping.
 struct Host {
-    engine: Box<dyn SimEngine>,
+    engine: Simulation,
     /// Preset name, for CSV rows and divergence messages.
     preset: &'static str,
     cpus: usize,
@@ -236,9 +235,9 @@ pub struct Fleet {
 
 impl Fleet {
     /// Builds the fleet: apportions the rack budget, derives per-host
-    /// seeds, and constructs each host's engine through
-    /// [`build_engine`] (so `base.parallel(n)` selects the partitioned
-    /// core per host, and everything else the strided/fixed core).
+    /// seeds, and builds each host's [`Simulation`] from the base
+    /// config on the host's shape (the base config's engine core, fixed
+    /// tick or strided, applies to every host).
     pub fn new(cfg: FleetConfig) -> Self {
         let cpus: Vec<usize> = cfg.hosts.iter().map(|p| p.builder().n_cpus()).collect();
         let shares = cfg.budget.shares(&cpus);
@@ -257,7 +256,7 @@ impl Fleet {
                     .seed(host_seed(cfg.seed, i))
                     .max_power(MaxPowerSpec::PerLogical(per_logical));
                 Host {
-                    engine: build_engine(host_cfg),
+                    engine: Simulation::new(host_cfg),
                     preset: preset.name(),
                     cpus,
                     share,
@@ -429,7 +428,7 @@ impl Fleet {
         let samples: Vec<f64> = self
             .hosts
             .iter()
-            .flat_map(|h| h.engine.sojourn_samples().into_iter().map(|(_, s)| s))
+            .flat_map(|h| h.engine.sojourn_samples().iter().map(|&(_, s)| s))
             .collect();
         let stranded_w_mean = if self.epochs.is_empty() {
             0.0
@@ -488,9 +487,9 @@ fn host_seed(fleet_seed: u64, host: usize) -> u64 {
 }
 
 /// Re-runs a fleet config at two worker counts with event tracing on
-/// and names the first divergent host and event — the fleet-level
-/// analogue of [`ebs_sim::parallel_divergence`], reusing the same
-/// verdict wording so CI failures read alike at both layers.
+/// and names the first divergent host and event, in the verdict wording
+/// of [`ebs_sim::stride_divergence`], so CI failures read alike for
+/// hosts and single engines.
 pub fn worker_divergence(
     cfg: &FleetConfig,
     epochs: usize,
@@ -509,12 +508,14 @@ pub fn worker_divergence(
     let (ra, rb) = (a.host_reports(), b.host_reports());
     for (h, (report_a, report_b)) in ra.iter().zip(rb.iter()).enumerate() {
         if !report_a.bit_eq(report_b) {
-            let ea = a.hosts[h].engine.event_stream().unwrap_or_default();
-            let eb = b.hosts[h].engine.event_stream().unwrap_or_default();
+            let events = |fleet: &Fleet| {
+                let trace = fleet.hosts[h].engine.events();
+                trace.map(|t| t.to_vec()).unwrap_or_default()
+            };
             return format!(
                 "host {h} ({}): {}",
                 a.hosts[h].preset,
-                divergence_verdict(&ea, &eb)
+                divergence_verdict(&events(&a), &events(&b))
             );
         }
     }

@@ -8,10 +8,9 @@
 //! apportioned to hosts and enforced jointly with each host's own
 //! `hlt`/DVFS governor.
 //!
-//! Every host is a [`ebs_sim::SimEngine`] trait object built through
-//! [`ebs_sim::build_engine`], so a fleet can mix the fixed-tick,
-//! strided, and partitioned-parallel cores without caring which is
-//! which. Hosts step concurrently between dispatcher epochs via
+//! Every host is an [`ebs_sim::Simulation`] on the engine core the
+//! base config selects (fixed tick or strided). Hosts step
+//! concurrently between dispatcher epochs via
 //! [`ebs_sim::map_parallel`]; runs are seed-deterministic and
 //! worker-count-invariant (see `tests/determinism.rs`).
 //!

@@ -156,14 +156,9 @@ impl ebs_store::Snapshot for PrioArray {
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        let queues = r.seq(|r| {
-            let n = r.usize()?;
-            let mut q = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                q.push_back(TaskId(r.u64()?));
-            }
-            Ok(q)
-        })?;
+        // Each queue is length-prefixed like a `seq`, so reading it as
+        // one bounds a corrupt length before anything is allocated.
+        let queues = r.seq(|r| Ok(VecDeque::from(r.seq(|r| Ok(TaskId(r.u64()?)))?)))?;
         if queues.len() != N_PRIOS {
             return Err(ebs_store::StoreError::Invalid(format!(
                 "priority array with {} queues, expected {N_PRIOS}",
@@ -261,5 +256,25 @@ mod tests {
         assert_eq!(a.pop(), Some(TaskId(0)));
         assert_eq!(a.pop(), Some(TaskId(13)));
         assert_eq!(a.pop(), Some(TaskId(39)));
+    }
+
+    /// A sealed image whose queue lengths are absurd (a corrupt or
+    /// crafted file) restores to an error, without a capacity-overflow
+    /// panic or an allocation abort.
+    #[test]
+    fn crafted_queue_lengths_are_rejected() {
+        use ebs_store::Snapshot as _;
+        for len in [1usize << 62, 1 << 40] {
+            let mut w = ebs_store::StateWriter::new();
+            w.usize(N_PRIOS);
+            w.usize(len);
+            let image = w.finish();
+            let mut r = image.open().expect("sealed image opens");
+            let mut a = PrioArray::new();
+            assert!(matches!(
+                a.restore(&mut r),
+                Err(ebs_store::StoreError::Invalid(_))
+            ));
+        }
     }
 }

@@ -424,41 +424,6 @@ impl System {
         Ok(())
     }
 
-    /// Removes a *queued* (waiting, not running) task from its
-    /// runqueue and retires its id — the extraction half of a
-    /// cross-partition handoff: the partitioned engine re-injects the
-    /// task's state into another partition's `System` as a fresh
-    /// spawn, so within this system the id is simply gone (state
-    /// `Exited`, counted neither as an exit nor as a migration).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MigrateError`] when the task is running or not
-    /// runnable.
-    pub fn take_queued(&mut self, id: TaskId) -> Result<(), MigrateError> {
-        let (from, prio, state) = {
-            let t = &self.tasks[id.0 as usize];
-            (t.cpu(), t.prio_index(), t.state())
-        };
-        match state {
-            TaskState::Runnable => {}
-            TaskState::Running => return Err(MigrateError::Running),
-            _ => return Err(MigrateError::BadState),
-        }
-        if self.rqs[from.0].current() == Some(id) {
-            return Err(MigrateError::Running);
-        }
-        let removed = self.rqs[from.0].remove(prio, id);
-        debug_assert!(removed, "runnable task {id} missing from its runqueue");
-        let profile = self.tasks[id.0 as usize].profile().0;
-        if removed {
-            self.rqs[from.0].debit_profile(profile);
-            self.agg.apply(from, -1, -1, -profile, true);
-        }
-        self.tasks[id.0 as usize].set_state(TaskState::Exited);
-        Ok(())
-    }
-
     /// Pushes the *running* task of `from` to `to`'s active array. The
     /// source CPU is left without a current task; the caller performs
     /// the context switch (as Linux's migration thread does).
@@ -954,25 +919,6 @@ mod tests {
         assert_eq!(sys.task(t).state(), TaskState::Exited);
         assert_eq!(sys.stats().exits, 1);
         assert_eq!(sys.context_switch(CpuId(0)).next, None);
-        sys.validate();
-    }
-
-    #[test]
-    fn take_queued_extracts_for_handoff() {
-        let mut sys = system();
-        let running = sys.spawn(TaskConfig::default(), CpuId(0));
-        let queued = sys.spawn(TaskConfig::default(), CpuId(0));
-        sys.context_switch(CpuId(0));
-        // The running task cannot be taken; the queued one can.
-        assert_eq!(sys.take_queued(running), Err(MigrateError::Running));
-        sys.take_queued(queued).unwrap();
-        assert_eq!(sys.task(queued).state(), TaskState::Exited);
-        assert_eq!(sys.nr_running(CpuId(0)), 1);
-        // A handoff is neither an exit nor a migration.
-        assert_eq!(sys.stats().exits, 0);
-        assert_eq!(sys.stats().migrations(), 0);
-        // Re-taking fails; blocked tasks fail too.
-        assert_eq!(sys.take_queued(queued), Err(MigrateError::BadState));
         sys.validate();
     }
 

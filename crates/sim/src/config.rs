@@ -177,10 +177,6 @@ pub struct SimConfig {
     /// under a load curve. `None` keeps the paper's closed model
     /// (tasks are spawned explicitly and optionally respawned).
     pub open_workload: Option<OpenWorkload>,
-    /// Worker threads of the parallel (per-package partitioned) engine
-    /// core; `None` selects the single-loop cores. See
-    /// [`SimConfig::parallel`].
-    pub parallel_workers: Option<usize>,
     /// Combined throughput factor of two busy SMT siblings relative to
     /// one solo thread (the literature's ~1.25 for the Pentium 4).
     pub smt_speedup: f64,
@@ -241,7 +237,6 @@ impl SimConfig {
             metrics_interval: None,
             profile_engine: false,
             open_workload: None,
-            parallel_workers: None,
             smt_speedup: 1.25,
             warmup_ipc_floor: 0.55,
             warmup_instructions: 40_000_000,
@@ -353,7 +348,7 @@ impl SimConfig {
 
     /// Removes any engine-owned open workload. Used by outer layers
     /// (the fleet dispatcher) that generate arrivals themselves and
-    /// route them in via [`crate::SimEngine::queue_arrival`] — a host
+    /// route them in via [`crate::Simulation::queue_arrival`] — a host
     /// must not *also* draw its own arrival stream.
     pub fn closed(mut self) -> Self {
         self.open_workload = None;
@@ -389,28 +384,6 @@ impl SimConfig {
     /// Whether the variable-stride core is selected.
     pub fn strided_enabled(&self) -> bool {
         self.max_stride.is_some()
-    }
-
-    /// Selects the parallel engine core: the machine is split into
-    /// per-package simulation partitions with their own event
-    /// calendars, synchronized by conservative lookahead, stepped by up
-    /// to `workers` threads (clamped to the package count and the
-    /// host's parallelism; threads only engage when both exceed one).
-    /// Partitions ride the variable-stride core, so this implies
-    /// [`SimConfig::strided`] unless an explicit stride cap is already
-    /// set. `parallel(1)` runs the whole machine as one partition —
-    /// bit-identical to the strided core by construction.
-    pub fn parallel(mut self, workers: usize) -> Self {
-        self.parallel_workers = Some(workers.max(1));
-        if self.max_stride.is_none() {
-            self.max_stride = Some(Self::DEFAULT_MAX_STRIDE);
-        }
-        self
-    }
-
-    /// Whether the parallel partitioned core is selected.
-    pub fn parallel_enabled(&self) -> bool {
-        self.parallel_workers.is_some()
     }
 
     /// Enables or disables *all* energy-aware mechanisms at once — the
@@ -701,27 +674,6 @@ mod tests {
         let cfg = cfg.max_stride(SimDuration::from_millis(5));
         assert_eq!(cfg.max_stride, Some(SimDuration::from_millis(5)));
         assert!(!cfg.fixed_tick().strided_enabled());
-    }
-
-    #[test]
-    fn parallel_builder_implies_strided() {
-        let cfg = SimConfig::xseries445();
-        assert!(!cfg.parallel_enabled());
-        let cfg = cfg.parallel(4);
-        assert!(cfg.parallel_enabled());
-        assert_eq!(cfg.parallel_workers, Some(4));
-        // Partitions ride the strided core.
-        assert_eq!(cfg.max_stride, Some(SimConfig::DEFAULT_MAX_STRIDE));
-        // An explicit stride cap survives.
-        let cfg = SimConfig::xseries445()
-            .max_stride(SimDuration::from_millis(5))
-            .parallel(2);
-        assert_eq!(cfg.max_stride, Some(SimDuration::from_millis(5)));
-        // Zero workers clamps to one.
-        assert_eq!(
-            SimConfig::xseries445().parallel(0).parallel_workers,
-            Some(1)
-        );
     }
 
     #[test]

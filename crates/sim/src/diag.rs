@@ -7,16 +7,15 @@
 //! CPU, kind — which is usually enough to localise the bug to one
 //! subsystem.
 //!
-//! Every cell runs through [`build_engine`], so one code path serves
-//! any pair of cores — fixed-tick vs strided, strided vs partitioned —
-//! instead of a per-core dispatch per comparison.
+//! Either cell may run either engine core, fixed-tick or strided: the
+//! config selects it.
 //!
 //! Tracing never feeds back into scheduling or the RNG, so the traced
 //! re-run reproduces the original runs exactly (per the bit-identity
 //! guarantees tested in `tests/trace.rs`).
 
-use crate::api::{build_engine, SimEngine};
 use crate::config::SimConfig;
+use crate::engine::Simulation;
 use crate::trace::SimReport;
 use ebs_trace::{first_divergence, TraceEvent};
 use ebs_units::SimDuration;
@@ -46,17 +45,16 @@ pub fn rel_dev(a: f64, b: f64) -> f64 {
 }
 
 /// Runs `cfg` for `duration` with event tracing forced on (`setup`
-/// spawns the workload) and returns the recorded event stream, from
-/// whichever engine core the config selects.
+/// spawns the workload) and returns the recorded event stream.
 pub fn traced_events(
     cfg: SimConfig,
     duration: SimDuration,
-    setup: impl FnOnce(&mut dyn SimEngine),
+    mut setup: impl FnMut(&mut Simulation),
 ) -> Vec<TraceEvent> {
-    let mut sim = build_engine(cfg.trace_events(true));
-    setup(sim.as_mut());
+    let mut sim = Simulation::new(cfg.trace_events(true));
+    setup(&mut sim);
     sim.run_for(duration);
-    sim.event_stream().unwrap_or_default()
+    sim.events().map(|t| t.to_vec()).unwrap_or_default()
 }
 
 /// The one-line verdict both divergence helpers render: where two
@@ -76,32 +74,16 @@ pub fn divergence_verdict(a: &[TraceEvent], b: &[TraceEvent]) -> String {
 /// diagnostic. Returns a one-line human-readable verdict.
 ///
 /// `setup` must be deterministic (it runs once per cell); spawning the
-/// same mix into both simulations qualifies. Either config may select
-/// any engine core — the partitioned engine's merged, id-remapped
-/// stream compares directly against a sequential stream.
+/// same mix into both simulations qualifies.
 pub fn stride_divergence(
     left: SimConfig,
     right: SimConfig,
     duration: SimDuration,
-    mut setup: impl FnMut(&mut dyn SimEngine),
+    mut setup: impl FnMut(&mut Simulation),
 ) -> String {
     let a = traced_events(left, duration, &mut setup);
     let b = traced_events(right, duration, &mut setup);
     divergence_verdict(&a, &b)
-}
-
-/// Replays a sequential cell against the partitioned engine built from
-/// `parallel_cfg` and names the first divergent event — the diagnostic
-/// behind the `parallel(1)` bit-identity gate. Since both cores hang
-/// off [`SimEngine`], this is [`stride_divergence`] under a name that
-/// says which gate failed.
-pub fn parallel_divergence(
-    sequential: SimConfig,
-    parallel_cfg: SimConfig,
-    duration: SimDuration,
-    setup: impl FnMut(&mut dyn SimEngine),
-) -> String {
-    stride_divergence(sequential, parallel_cfg, duration, setup)
 }
 
 #[cfg(test)]
@@ -130,20 +112,5 @@ mod tests {
         });
         assert!(text.contains("first divergent event"), "{text}");
         assert!(text.contains("[t+"), "{text}");
-    }
-
-    #[test]
-    fn parallel_divergence_drives_both_cores() {
-        // The parallel(1) partition is the strided core, so against
-        // `strided()` the streams must be identical.
-        let text = parallel_divergence(
-            cfg(3).strided(),
-            cfg(3).parallel(1),
-            SimDuration::from_millis(300),
-            |sim| {
-                sim.spawn_mix(&[catalog::aluadd()], 2);
-            },
-        );
-        assert!(text.contains("identical"), "{text}");
     }
 }

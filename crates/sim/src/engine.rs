@@ -236,23 +236,14 @@ impl MetricsState {
 }
 
 /// An open-workload arrival routed to an engine by an outer
-/// dispatcher — the parallel synchronizer between packages, or the
-/// fleet dispatcher between hosts: the resolved program plus the
-/// exact due instant from the shared arrival process.
+/// dispatcher (the fleet dispatcher between hosts): the resolved
+/// program plus the exact due instant from the shared arrival process.
 #[derive(Clone, Debug)]
 pub struct RoutedArrival {
     pub due: SimTime,
     pub program: Program,
     pub seed: u64,
     pub phase: &'static str,
-}
-
-/// A task in flight between partitions: everything the receiving
-/// engine needs to resume it as if it had migrated across packages.
-pub(crate) struct TaskHandoff {
-    pub runtime: TaskRuntime,
-    pub profile: Watts,
-    pub binary: u64,
 }
 
 /// A complete simulation: machine, scheduler, policies, and statistics.
@@ -335,9 +326,9 @@ pub struct Simulation {
     /// When each frozen domain's bookkeeping stopped, so the window
     /// catches up in one exact move on the next event.
     dvfs_frozen_at: Vec<SimTime>,
-    /// Arrivals routed to this engine by an outer synchronizer (the
-    /// parallel partition driver), sorted by due time and drained by
-    /// `arrival_tick` exactly like the engine-owned arrival process.
+    /// Arrivals routed to this engine by an outer dispatcher (see
+    /// [`Simulation::queue_arrival`]), sorted by due time and drained
+    /// by `arrival_tick` exactly like the engine-owned arrival process.
     inbox: std::collections::VecDeque<RoutedArrival>,
     /// Runtime state, indexed by `TaskId` (dense).
     runtimes: Vec<Option<TaskRuntime>>,
@@ -776,10 +767,11 @@ impl Simulation {
         id
     }
 
-    /// Queues an arrival routed by the parallel synchronizer: it
-    /// spawns when the clock reaches `due` (the next stride is
-    /// bounded the same way engine-owned arrivals bound it).
-    pub(crate) fn queue_arrival(&mut self, a: RoutedArrival) {
+    /// Queues an arrival routed by an outer dispatcher: it spawns when
+    /// the clock reaches `due` (the next stride is bounded the same way
+    /// engine-owned arrivals bound it). Arrivals must be queued in
+    /// non-decreasing due order.
+    pub fn queue_arrival(&mut self, a: RoutedArrival) {
         debug_assert!(
             self.inbox.back().is_none_or(|b| b.due <= a.due),
             "routed arrivals must be queued in due order"
@@ -787,88 +779,22 @@ impl Simulation {
         self.inbox.push_back(a);
     }
 
-    /// Removes up to `n` queued (never running) tasks for
-    /// cross-partition handoff, in deterministic CPU-then-queue order.
-    pub(crate) fn extract_queued(&mut self, n: usize) -> Vec<TaskHandoff> {
-        let mut out = Vec::new();
-        'cpus: for c in 0..self.n_cpus() {
-            let cpu = CpuId(c);
-            loop {
-                if out.len() == n {
-                    break 'cpus;
-                }
-                let current = self.sys.rq(cpu).current();
-                let Some(id) = self.sys.rq(cpu).iter_all().find(|&id| Some(id) != current) else {
-                    break;
-                };
-                let profile = self.sys.task(id).profile();
-                let binary = self.sys.task(id).binary().0;
-                if self.sys.take_queued(id).is_err() {
-                    break;
-                }
-                let runtime = self.runtimes[id.0 as usize]
-                    .take()
-                    .expect("queued task has runtime state");
-                out.push(TaskHandoff {
-                    runtime,
-                    profile,
-                    binary,
-                });
-            }
-        }
-        out
-    }
-
-    /// Injects a task handed off from another partition: places it
-    /// like a fresh spawn, then restores its runtime state with the
-    /// warmth reset of a cross-node migration (the handoff *is* a
-    /// cross-package move). Arrival metadata survives, so sojourn
-    /// times keep measuring from the original arrival.
-    pub(crate) fn inject_task(&mut self, h: TaskHandoff) {
-        let binary = BinaryId(h.binary);
-        let cpu = if self.cfg.energy_placement {
-            place_new_task_capacity(
-                &self.sys,
-                &self.power,
-                h.profile,
-                self.capacities.as_deref(),
-            )
-        } else {
-            idlest_cpu(&self.sys)
-        }
-        .unwrap_or(CpuId(0));
-        let id = self.sys.spawn(
-            TaskConfig {
-                nice: 0,
-                binary,
-                initial_profile: h.profile,
-                profile_weight: 0.25,
-            },
-            cpu,
-        );
-        if self.runtimes.len() <= id.0 as usize {
-            self.runtimes.resize(id.0 as usize + 1, None);
-        }
-        let mut rt = h.runtime;
-        rt.note_migration(0, true);
-        rt.last_class = self.cpu_class[cpu.0];
-        self.runtimes[id.0 as usize] = Some(rt);
-        self.emit(EventKind::Spawn {
-            task: id.0,
-            cpu: cpu.0 as u32,
-            binary: binary.0,
-        });
-    }
-
-    /// Raw open-workload sojourn samples: (arrival phase, seconds).
-    pub(crate) fn raw_latencies(&self) -> &[(&'static str, f64)] {
+    /// Raw open-workload sojourn samples so far, in completion order:
+    /// (arrival phase, seconds).
+    pub fn sojourn_samples(&self) -> &[(&'static str, f64)] {
         &self.latencies
     }
 
-    /// See [`crate::SimEngine::run_totals`]: the report's completion
+    /// The run's cumulative [`RunTotals`]: the report's completion
     /// count (a `u64` sum, so its order is immaterial), instruction
-    /// count and true energy, read straight from the counters.
-    pub(crate) fn run_totals(&self, sojourn_from: usize, tail: &mut Vec<f64>) -> RunTotals {
+    /// count and true energy, read straight from the counters. Appends
+    /// to `tail` the seconds of every sojourn sample from index
+    /// `sojourn_from` of [`Simulation::sojourn_samples`] on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sojourn_from` exceeds the samples recorded.
+    pub fn run_totals(&self, sojourn_from: usize, tail: &mut Vec<f64>) -> RunTotals {
         tail.extend(self.latencies[sojourn_from..].iter().map(|&(_, s)| s));
         RunTotals {
             instructions_retired: self.instructions,
@@ -879,16 +805,10 @@ impl Simulation {
     }
 
     /// Runnable tasks (running + queued) across the whole system.
-    pub(crate) fn runnable_tasks(&self) -> usize {
+    pub fn runnable_tasks(&self) -> usize {
         (0..self.n_cpus())
             .map(|c| self.sys.nr_running(CpuId(c)))
             .sum()
-    }
-
-    /// Routed arrivals queued but not yet spawned — part of the load a
-    /// dispatcher routing one arrival at a time must account for.
-    pub(crate) fn inbox_len(&self) -> usize {
-        self.inbox.len()
     }
 
     /// Runs the simulation for a span of simulated time. The final
@@ -1271,7 +1191,7 @@ impl Simulation {
     /// ([`ArrivalProcess`]) thins a peak-rate Poisson stream — exact
     /// for any time-varying rate, and deterministic per seed.
     fn arrival_tick(&mut self) {
-        // Arrivals routed by an outer synchronizer first: the inbox is
+        // Arrivals routed by an outer dispatcher first: the inbox is
         // sorted by due time and spawns follow routing order, which is
         // deterministic regardless of worker count.
         while self.inbox.front().is_some_and(|a| a.due <= self.now) {

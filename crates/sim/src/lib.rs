@@ -45,21 +45,16 @@ mod config;
 mod diag;
 mod engine;
 mod machine;
-mod parallel;
 mod runner;
 mod runtime;
 mod trace;
 
-pub use api::{build_engine, RunTotals, SimEngine};
+pub use api::{RunTotals, SimEngine};
 pub use classes::{ClassCatalog, CoreClass, DomainMap};
 pub use config::{DvfsSpec, MaxPowerSpec, SimConfig};
-pub use diag::{
-    divergence_verdict, parallel_divergence, rel_dev, report_fingerprint, stride_divergence,
-    traced_events,
-};
+pub use diag::{divergence_verdict, rel_dev, report_fingerprint, stride_divergence, traced_events};
 pub use engine::{RoutedArrival, Simulation};
 pub use machine::PhysicalMachine;
-pub use parallel::{HandoffRecord, ParallelSimulation};
 pub use runner::{
     default_workers, map_parallel, mean, run_configs, run_configs_with_workers, run_one, run_seeds,
 };

@@ -1,8 +1,9 @@
 //! Behavioural integration tests of the simulated machine: SMT
-//! contention, estimation accuracy, physics consistency, and DVFS
-//! enforcement.
+//! contention, estimation accuracy, physics consistency, DVFS
+//! enforcement, and the fidelity of the energy-aware policies.
 
 use ebs_dvfs::GovernorKind;
+use ebs_sched::MigrationReason;
 use ebs_sim::{MaxPowerSpec, SimConfig, Simulation};
 use ebs_units::{SimDuration, SimTime, Watts};
 use ebs_workloads::{catalog, section61_mix};
@@ -283,4 +284,58 @@ fn smt_off_gives_full_pipeline_per_task() {
         (0.95..=1.05).contains(&ratio),
         "8 tasks on 8 packages should not contend: ratio {ratio}"
     );
+}
+
+/// Policy fidelity: on every engine core, turning energy-aware
+/// scheduling on makes the paper's cross-package policies act. Energy
+/// balancing (Fig. 4) pulls load from hot runqueues to cool ones and
+/// exchanges a cool task back, and the hottest package ends cooler
+/// than with the policies off.
+///
+/// An engine that splits the machine into one-package partitions
+/// fails this check: its policies see no second package, so it records
+/// no energy or exchange migrations and the same temperature with the
+/// policies on or off. Reports that agree on instructions and energy
+/// within a few percent cannot show that.
+#[test]
+fn energy_aware_policies_act_on_every_core() {
+    let reason = |r: MigrationReason| {
+        MigrationReason::ALL
+            .iter()
+            .position(|&x| x == r)
+            .expect("every reason is listed")
+    };
+    let (energy, exchange) = (
+        reason(MigrationReason::EnergyBalance),
+        reason(MigrationReason::Exchange),
+    );
+    for (name, strided) in [("fixed-tick", false), ("strided", true)] {
+        let run = |energy_aware: bool| {
+            let cfg = SimConfig::xseries445()
+                .smt(false)
+                .energy_aware(energy_aware)
+                .seed(1);
+            let mut sim = Simulation::new(if strided { cfg.strided() } else { cfg });
+            sim.spawn_mix(&section61_mix(), 3);
+            sim.run_for(SimDuration::from_secs(300));
+            sim.report()
+        };
+        let on = run(true);
+        let off = run(false);
+        let by_reason = on.migrations_by_reason;
+        assert!(
+            by_reason[energy] > 0,
+            "{name}: no energy-balancing migrations {by_reason:?}"
+        );
+        assert!(
+            by_reason[exchange] > 0,
+            "{name}: no exchange migrations {by_reason:?}"
+        );
+        assert!(
+            on.max_package_temp.0 < off.max_package_temp.0,
+            "{name}: energy-aware max package temperature {} not below {} with the policies off",
+            on.max_package_temp.0,
+            off.max_package_temp.0
+        );
+    }
 }

@@ -5,11 +5,11 @@
 //! unmoved. Both hold only if, between steps, every CPU's counter bank
 //! equals the estimator's last read of it. This suite checks that
 //! invariant after every slice of a run, across machine shapes, the
-//! fixed-tick, strided and partitioned cores, and snapshot restores
-//! into fresh and used engines. It also pins the read count: one read
+//! fixed-tick and strided cores, and snapshot restores into fresh and
+//! used engines. It also pins the read count: one read
 //! per CPU per engine step, as the general `account` path took.
 
-use ebs_sim::{MaxPowerSpec, ParallelSimulation, SimConfig, SimEngine, Simulation};
+use ebs_sim::{MaxPowerSpec, SimConfig, SimEngine, Simulation};
 use ebs_topology::TopologyPreset;
 use ebs_units::{SimDuration, Watts};
 use ebs_workloads::{catalog, section61_mix, LoadCurve, OpenWorkload};
@@ -26,7 +26,7 @@ fn preset(idx: usize) -> TopologyPreset {
 }
 
 /// An open diurnal load (so CPUs go idle and busy), on the engine core
-/// `core` selects: 0 fixed tick, 1 strided, 2 partitioned.
+/// `core` selects: 0 fixed tick, 1 strided.
 fn cfg(preset_idx: usize, core: usize, seed: u64) -> SimConfig {
     let shape = preset(preset_idx).builder();
     let workload = OpenWorkload::new(
@@ -44,10 +44,10 @@ fn cfg(preset_idx: usize, core: usize, seed: u64) -> SimConfig {
         .throttling(true)
         .max_power(MaxPowerSpec::PerLogical(Watts(30.0)))
         .open_workload(workload);
-    match core {
-        0 => cfg,
-        1 => cfg.strided(),
-        _ => cfg.strided().parallel(2),
+    if core == 0 {
+        cfg
+    } else {
+        cfg.strided()
     }
 }
 
@@ -60,30 +60,12 @@ fn check(sim: &Simulation) -> (u64, u64) {
     (reads, sim.report().engine_steps * banks.len() as u64)
 }
 
-/// The invariant on every engine behind `engine`, and the read totals.
-fn check_all(engine: &dyn std::any::Any) -> (u64, u64) {
-    if let Some(sim) = engine.downcast_ref::<Simulation>() {
-        return check(sim);
-    }
-    let par = engine
-        .downcast_ref::<ParallelSimulation>()
-        .expect("one of the two engine types");
-    par.partition_engines()
-        .iter()
-        .map(check)
-        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-}
-
-fn run_and_check<E: SimEngine + 'static>(
-    cfg: SimConfig,
-    slices: &[u64],
-    restore_at: usize,
-) -> Result<(), TestCaseError> {
-    let mut sim = E::build(cfg.clone());
+fn run_and_check(cfg: SimConfig, slices: &[u64], restore_at: usize) -> Result<(), TestCaseError> {
+    let mut sim = Simulation::new(cfg.clone());
     let mut image = None;
     for (i, &ms) in slices.iter().enumerate() {
         sim.run_for(SimDuration::from_millis(ms));
-        let (reads, expected) = check_all(&sim);
+        let (reads, expected) = check(&sim);
         prop_assert_eq!(reads, expected, "one read per CPU per step");
         if i == restore_at {
             image = Some(sim.snapshot());
@@ -93,19 +75,19 @@ fn run_and_check<E: SimEngine + 'static>(
         return Ok(());
     };
     // Into a fresh engine, and into the used one.
-    let mut fresh = E::from_snapshot(cfg, &image).expect("same-config restore");
-    let (reads, expected) = check_all(&fresh);
+    let mut fresh = Simulation::from_snapshot(cfg, &image).expect("same-config restore");
+    let (reads, expected) = check(&fresh);
     prop_assert_eq!(reads, expected);
     sim.restore_snapshot(&image)
         .expect("restore into a used engine");
-    check_all(&sim);
+    check(&sim);
     for &ms in slices {
         let dt = SimDuration::from_millis(ms);
         fresh.run_for(dt);
         sim.run_for(dt);
-        let (reads, expected) = check_all(&sim);
+        let (reads, expected) = check(&sim);
         prop_assert_eq!(reads, expected);
-        prop_assert_eq!(check_all(&fresh), (reads, expected));
+        prop_assert_eq!(check(&fresh), (reads, expected));
         prop_assert_eq!(fresh.state_hash(), sim.state_hash());
     }
     Ok(())
@@ -117,17 +99,12 @@ proptest! {
     #[test]
     fn banks_equal_the_last_read_between_steps(
         preset_idx in 0usize..5,
-        core in 0usize..3,
+        core in 0usize..2,
         seed in 0u64..1_000,
         slices in prop::collection::vec(1u64..700, 1..6),
         restore_at in 0usize..6,
     ) {
-        let cfg = cfg(preset_idx, core, seed);
-        if core == 2 {
-            run_and_check::<ParallelSimulation>(cfg, &slices, restore_at)?;
-        } else {
-            run_and_check::<Simulation>(cfg, &slices, restore_at)?;
-        }
+        run_and_check(cfg(preset_idx, core, seed), &slices, restore_at)?;
     }
 }
 

@@ -291,7 +291,7 @@ proptest! {
 
 /// Homogeneous bit-identity regression for the heterogeneous-hardware
 /// refactor: on every single-class preset, the refactor's knobs at
-/// their neutral settings are byte-level no-ops on both engine cores —
+/// their neutral settings are byte-level no-ops on the strided core —
 /// pinning the legacy `PerPackage` scope explicitly and switching the
 /// policy layer `class_blind` must change nothing, because with one
 /// class there are no capacities to ignore and the per-domain state is
@@ -299,7 +299,6 @@ proptest! {
 #[test]
 fn homogeneous_presets_are_unchanged_by_the_class_refactor() {
     use ebs_dvfs::DomainScope;
-    use ebs_sim::ParallelSimulation;
     for preset in TopologyPreset::all() {
         let base = SimConfig::preset(preset)
             .seed(13)
@@ -310,34 +309,26 @@ fn homogeneous_presets_are_unchanged_by_the_class_refactor() {
             "{} should be single-class",
             preset.name()
         );
-        let strided_run = |cfg: SimConfig| {
+        let run = |cfg: SimConfig| {
             let mut sim = Simulation::new(cfg.strided());
             sim.spawn_mix(&section61_mix(), 2);
             sim.run_for(SimDuration::from_secs(2));
             (fingerprint(&sim.report()), sim.state_hash())
         };
-        let parallel_run = |cfg: SimConfig| {
-            let mut sim = ParallelSimulation::new(cfg.parallel(2));
-            sim.spawn_mix(&section61_mix(), 2);
-            sim.run_for(SimDuration::from_secs(2));
-            (fingerprint(&sim.report()), sim.state_hash())
-        };
-        for run in [strided_run, parallel_run] {
-            let default = run(base.clone());
-            let pinned = run(base.clone().scope(DomainScope::PerPackage));
-            let blind = run(base.clone().class_blind(true));
-            assert_eq!(
-                default,
-                pinned,
-                "{}: pinning PerPackage scope changed a homogeneous run",
-                preset.name()
-            );
-            assert_eq!(
-                default,
-                blind,
-                "{}: class_blind changed a homogeneous run",
-                preset.name()
-            );
-        }
+        let default = run(base.clone());
+        let pinned = run(base.clone().scope(DomainScope::PerPackage));
+        let blind = run(base.clone().class_blind(true));
+        assert_eq!(
+            default,
+            pinned,
+            "{}: pinning PerPackage scope changed a homogeneous run",
+            preset.name()
+        );
+        assert_eq!(
+            default,
+            blind,
+            "{}: class_blind changed a homogeneous run",
+            preset.name()
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! `run_for` boundary, restoring into a freshly built engine of the
 //! same config, and running to the end is **bit-identical** to
 //! running through the boundary uninterrupted — same end-of-run state
-//! hash, same report, on both the strided and the parallel(4) engine
-//! cores, across topology presets × governors × seeds.
+//! hash, same report, on the strided core across topology presets ×
+//! governors × seeds.
 //!
 //! The boundary matters: a `run_for` horizon caps the last stride and
 //! drains due arrivals, so the uninterrupted leg pauses at the same
@@ -15,9 +15,7 @@
 
 use ebs_dvfs::GovernorKind;
 use ebs_sched::MigrationReason;
-use ebs_sim::{
-    report_fingerprint, MaxPowerSpec, ParallelSimulation, SimConfig, SimEngine, Simulation,
-};
+use ebs_sim::{report_fingerprint, MaxPowerSpec, SimConfig, SimEngine, Simulation};
 use ebs_topology::TopologyPreset;
 use ebs_units::{Celsius, SimDuration, Watts};
 use ebs_workloads::{catalog, section61_mix, LoadCurve, OpenWorkload};
@@ -102,43 +100,6 @@ proptest! {
             report_fingerprint(&a),
             report_fingerprint(&b)
         );
-    }
-
-    /// Parallel(4) core: the whole partitioned state — every shard,
-    /// the synchronizer's arrival cursor, the handoff log — survives
-    /// the round trip losslessly.
-    #[test]
-    fn parallel4_checkpoint_restore_is_lossless(
-        preset_idx in 0usize..4,
-        governor_idx in 0usize..3,
-        seed in 0u64..1_000,
-    ) {
-        let half = SimDuration::from_secs(2);
-        let cfg = open_cfg(preset_idx, governor_idx, seed).parallel(4);
-
-        let mut uninterrupted = ParallelSimulation::new(cfg.clone());
-        uninterrupted.run_for(half);
-        let image = uninterrupted.snapshot();
-
-        let mut resumed = ParallelSimulation::from_snapshot(cfg, &image)
-            .expect("restore into a same-config engine");
-        prop_assert_eq!(resumed.state_hash(), uninterrupted.state_hash());
-
-        uninterrupted.run_for(half);
-        resumed.run_for(half);
-        prop_assert_eq!(
-            resumed.state_hash(),
-            uninterrupted.state_hash(),
-            "end-of-run state hashes diverged"
-        );
-        let (a, b) = (uninterrupted.report(), resumed.report());
-        prop_assert!(
-            a.bit_eq(&b),
-            "reports diverged:\n{}\nvs\n{}",
-            report_fingerprint(&a),
-            report_fingerprint(&b)
-        );
-        prop_assert_eq!(uninterrupted.handoff_log(), resumed.handoff_log());
     }
 }
 

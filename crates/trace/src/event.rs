@@ -71,72 +71,6 @@ impl EventKind {
             _ => None,
         }
     }
-
-    /// The event with its CPU, package, and frequency-domain ids
-    /// shifted by the given offsets — used when per-partition streams
-    /// from the parallel engine (each numbered from zero) merge into
-    /// one machine-global stream. Governor and P-state events shift by
-    /// `domain_offset` (their id field is a domain index, which under
-    /// per-core scope advances by domains-per-package per partition);
-    /// throttle events shift by `package_offset`. Task ids stay
-    /// partition-local: partitions allocate them independently, so no
-    /// global renumbering exists.
-    #[must_use]
-    pub fn offset_ids(self, cpu_offset: u32, package_offset: u32, domain_offset: u32) -> EventKind {
-        match self {
-            EventKind::Spawn { task, cpu, binary } => EventKind::Spawn {
-                task,
-                cpu: cpu + cpu_offset,
-                binary,
-            },
-            EventKind::ContextSwitch { cpu, task } => EventKind::ContextSwitch {
-                cpu: cpu + cpu_offset,
-                task,
-            },
-            EventKind::Migration { task, cpu, reason } => EventKind::Migration {
-                task,
-                cpu: cpu + cpu_offset,
-                reason,
-            },
-            EventKind::Completion { task, cpu } => EventKind::Completion {
-                task,
-                cpu: cpu + cpu_offset,
-            },
-            EventKind::BalancerRound { cpu, pulled } => EventKind::BalancerRound {
-                cpu: cpu + cpu_offset,
-                pulled,
-            },
-            EventKind::GovernorDecision { package, pstate } => EventKind::GovernorDecision {
-                package: package + domain_offset,
-                pstate,
-            },
-            EventKind::PStateTransition { package, from, to } => EventKind::PStateTransition {
-                package: package + domain_offset,
-                from,
-                to,
-            },
-            EventKind::ThrottleEngage { package } => EventKind::ThrottleEngage {
-                package: package + package_offset,
-            },
-            EventKind::ThrottleRelease { package } => EventKind::ThrottleRelease {
-                package: package + package_offset,
-            },
-            e @ (EventKind::EngineStep { .. } | EventKind::Wakeup { .. }) => e,
-        }
-    }
-}
-
-/// Merges per-partition event streams — each already in timestamp
-/// order — into one stream in global timestamp order. Ties break by
-/// stream index (then intra-stream order), so the merge is
-/// deterministic and independent of how many worker threads produced
-/// the streams.
-pub fn merge_streams(streams: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    let mut all: Vec<TraceEvent> = streams.into_iter().flatten().collect();
-    // Stable sort: equal timestamps keep the flattened (stream index,
-    // position) order.
-    all.sort_by_key(|e| e.t);
-    all
 }
 
 impl fmt::Display for EventKind {

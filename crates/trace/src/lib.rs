@@ -21,7 +21,7 @@
 //!   tracks for thermal power, per-domain frequency, runqueue depth,
 //!   and utilization — openable directly in `ui.perfetto.dev`.
 //! - [`PhaseProfiler`]: host wall-time accounting per engine phase,
-//!   the baseline for any future parallel engine core.
+//!   the per-layer baseline a performance change is measured against.
 //! - [`first_divergence`]: trace diffing, so two runs that drift can be
 //!   pinned to the first divergent event instead of eyeballed CSVs.
 //!
@@ -37,7 +37,7 @@ pub mod perfetto;
 mod profile;
 
 pub use diff::{first_divergence, Divergence};
-pub use event::{merge_streams, EventKind, EventTrace, TraceEvent, TraceSink};
+pub use event::{EventKind, EventTrace, TraceEvent, TraceSink};
 pub use json::{parse as parse_json, Json};
 pub use metrics::{CounterId, GaugeId, MetricsRegistry};
 pub use profile::{PhaseProfiler, PhaseRow};

@@ -386,22 +386,4 @@ mod tests {
         assert!(scoped.contains("package0"), "{scoped}");
         assert!(parse(&scoped).is_ok(), "valid JSON");
     }
-
-    #[test]
-    fn offset_ids_shifts_domains_independently_of_packages() {
-        let gov = EventKind::GovernorDecision {
-            package: 3,
-            pstate: 1,
-        }
-        .offset_ids(0, 1, 8);
-        assert_eq!(
-            gov,
-            EventKind::GovernorDecision {
-                package: 11,
-                pstate: 1
-            }
-        );
-        let thr = EventKind::ThrottleEngage { package: 0 }.offset_ids(0, 1, 8);
-        assert_eq!(thr, EventKind::ThrottleEngage { package: 1 });
-    }
 }

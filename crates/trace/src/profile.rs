@@ -1,7 +1,7 @@
 //! Host wall-time accounting per engine phase.
 //!
 //! The profiler answers "where does a simulated second go?" — the
-//! baseline any parallel engine core must beat. Assertions about
+//! baseline a performance change must beat. Assertions about
 //! profiling should stay counter-based (call counts, not wall time):
 //! wall times are for human eyes and vary with the host.
 

@@ -238,8 +238,8 @@ impl OpenWorkload {
 
     /// Resolves an accepted arrival into the program to spawn: the
     /// palette entry it drew, bounded to its sampled service demand.
-    /// Every router — the engine's own arrival tick, the parallel
-    /// synchronizer, the fleet dispatcher — spawns exactly this.
+    /// Every router — the engine's own arrival tick, the fleet
+    /// dispatcher — spawns exactly this.
     pub fn materialize(&self, arrival: &Arrival) -> Program {
         self.programs[arrival.program_index]
             .clone()
