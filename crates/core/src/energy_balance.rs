@@ -25,8 +25,7 @@
 //!
 //! Every CPU of a span walks the same domain, so the searches that do
 //! not depend on the asking CPU are memoised per span or per group and
-//! shared by all of them (on the aggregate paths; the scan baseline
-//! rescans):
+//! shared by all of them:
 //!
 //! - the energy step's hottest group (the arg-max of the group
 //!   runqueue-power ratios), keyed on the span's generation
@@ -44,8 +43,7 @@
 //! ([`EnergyAwareBalancer::invalidate`]).
 
 use crate::metrics::{
-    group_runqueue_ratio, runqueue_power, runqueue_power_ratio, GroupRatioCache, GroupThermalCache,
-    PowerState,
+    runqueue_power, runqueue_power_ratio, GroupRatioCache, GroupThermalCache, PowerState,
 };
 use ebs_sched::{
     busiest_queued_cpu, BalanceOutcome, BalanceTimers, LevelPos, LoadMemo, MigrationReason,
@@ -73,16 +71,6 @@ pub struct EnergyBalanceConfig {
     /// balancer to energy-*aware task selection* in the load step only
     /// (used by ablation experiments).
     pub energy_step_enabled: bool,
-    /// Read group loads and power ratios from the incremental
-    /// aggregate tree (amortised O(1) per group) instead of scanning
-    /// every runqueue in the domain. Both paths make bitwise-identical
-    /// decisions; forcing one only matters for measuring the
-    /// pre-aggregate cost (`exp_balance_bench`) and regression-testing
-    /// equivalence. `None` (the default) picks adaptively by machine
-    /// size — scans below [`ebs_sched::AGGREGATE_CPU_THRESHOLD`]
-    /// logical CPUs, aggregates at or above — which also skips the
-    /// ratio-cache allocation on tiny machines.
-    pub use_aggregates: Option<bool>,
 }
 
 impl Default for EnergyBalanceConfig {
@@ -98,18 +86,7 @@ impl Default for EnergyBalanceConfig {
             thermal_ratio_margin: 0.10,
             runqueue_ratio_margin: 0.12,
             energy_step_enabled: true,
-            use_aggregates: None,
         }
-    }
-}
-
-impl EnergyBalanceConfig {
-    /// Resolves the aggregate-vs-scan choice for a machine with
-    /// `n_cpus` logical CPUs (see
-    /// [`ebs_sched::AGGREGATE_CPU_THRESHOLD`]).
-    pub fn resolve_aggregates(&self, n_cpus: usize) -> bool {
-        self.use_aggregates
-            .unwrap_or(n_cpus >= ebs_sched::AGGREGATE_CPU_THRESHOLD)
     }
 }
 
@@ -120,10 +97,9 @@ pub struct EnergyAwareBalancer {
     timers: BalanceTimers,
     /// Local groups and span slots per (CPU, level).
     index: SpanIndex,
-    /// Memoised searches (see the module docs); only allocated when
-    /// the aggregate paths are in use, so small machines on the
-    /// adaptive default stay allocation-lean.
-    memo: Option<Box<EnergyMemo>>,
+    /// Memoised searches (see the module docs), boxed to keep the
+    /// balancer small beside the stock one.
+    memo: Box<EnergyMemo>,
     /// Class-weighted compute capacity per logical CPU. `None` (every
     /// homogeneous machine) keeps the load step's exact legacy integer
     /// arithmetic; `Some` switches it to capacity-normalized effective
@@ -169,7 +145,7 @@ impl EnergyMemo {
     }
 
     /// The group with the highest runqueue-power ratio in the domain at
-    /// `pos`, and that ratio.
+    /// `pos` (the last of equal maxima), and that ratio.
     fn hottest_group(
         &mut self,
         sys: &System,
@@ -181,39 +157,23 @@ impl EnergyMemo {
         let key = (index.span_gen(sys, pos.span), power.budget_key());
         let slot = &mut self.hottest[pos.span];
         if slot.0 != key {
-            let ratios = &mut self.ratios;
-            *slot = (
-                key,
-                hottest_by(domain, |g| ratios.group_ratio(sys, g, power)),
-            );
+            let hottest = domain
+                .groups()
+                .iter()
+                .enumerate()
+                .map(|(i, g)| (i, self.ratios.group_ratio(sys, g, power)))
+                .max_by(|a, b| a.1.total_cmp(&b.1));
+            *slot = (key, hottest);
         }
         slot.1
     }
 }
 
-/// The group with the highest ratio (the last of equal maxima) and the
-/// ratio.
-fn hottest_by<F: FnMut(&CpuGroup) -> f64>(
-    domain: &SchedDomain,
-    mut ratio_of: F,
-) -> Option<(usize, f64)> {
-    domain
-        .groups()
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (i, ratio_of(g)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-}
-
 impl EnergyAwareBalancer {
-    /// Creates a balancer for systems shaped like `sys`. An
-    /// unspecified `use_aggregates` resolves here, against the
-    /// machine's size (see [`ebs_sched::AGGREGATE_CPU_THRESHOLD`]).
-    pub fn new(sys: &System, mut cfg: EnergyBalanceConfig) -> Self {
-        let aggregates = cfg.resolve_aggregates(sys.topology().n_cpus());
-        cfg.use_aggregates = Some(aggregates);
+    /// Creates a balancer for systems shaped like `sys`.
+    pub fn new(sys: &System, cfg: EnergyBalanceConfig) -> Self {
         let index = SpanIndex::new(sys.topology());
-        let memo = aggregates.then(|| Box::new(EnergyMemo::new(sys, &index)));
+        let memo = Box::new(EnergyMemo::new(sys, &index));
         EnergyAwareBalancer {
             cfg,
             timers: BalanceTimers::new(sys),
@@ -226,9 +186,7 @@ impl EnergyAwareBalancer {
     /// Drops every memoised answer; the engine calls this when it
     /// restores the system the balancer reads.
     pub fn invalidate(&mut self) {
-        if let Some(memo) = &mut self.memo {
-            memo.invalidate();
-        }
+        self.memo.invalidate();
     }
 
     /// Installs class-weighted per-CPU capacities (see the
@@ -254,15 +212,9 @@ impl EnergyAwareBalancer {
         self.capacities.as_deref()
     }
 
-    /// The configuration (with `use_aggregates` resolved).
+    /// The configuration.
     pub fn config(&self) -> &EnergyBalanceConfig {
         &self.cfg
-    }
-
-    /// Whether group selection reads the aggregate tree (resolved from
-    /// the config and the machine size at construction).
-    pub fn uses_aggregates(&self) -> bool {
-        self.memo.is_some()
     }
 
     /// The earliest instant any CPU's domain level is due for a
@@ -296,12 +248,9 @@ impl EnergyAwareBalancer {
         outcome
     }
 
-    /// A group's thermal power ratio, memoised on the aggregate paths.
+    /// A group's thermal power ratio, memoised.
     fn group_thermal_ratio(&mut self, power: &PowerState, group: &CpuGroup) -> f64 {
-        match &mut self.memo {
-            Some(memo) => memo.thermal.group_thermal_ratio(power, group),
-            None => power.group_thermal_ratio(group),
-        }
+        self.memo.thermal.group_thermal_ratio(power, group)
     }
 
     /// The energy balancing step of Fig. 4 (left column). Returns tasks
@@ -316,11 +265,10 @@ impl EnergyAwareBalancer {
     ) -> usize {
         let local_idx = pos.local;
         // Search the CPU group with the highest average power ratio.
-        let hottest = match &mut self.memo {
-            Some(memo) => memo.hottest_group(sys, &self.index, pos, domain, power),
-            None => hottest_by(domain, |g| group_runqueue_ratio(sys, g, power)),
-        };
-        let Some((hot_idx, hot_rq_ratio)) = hottest else {
+        let Some((hot_idx, hot_rq_ratio)) =
+            self.memo
+                .hottest_group(sys, &self.index, pos, domain, power)
+        else {
             return 0;
         };
         // Group contains local CPU? Then there is nothing to pull here.
@@ -330,10 +278,7 @@ impl EnergyAwareBalancer {
         // Hysteresis: the remote group must be hotter in *both* metrics.
         let local_group = &domain.groups()[local_idx];
         let hot_group = &domain.groups()[hot_idx];
-        let local_rq_ratio = match &mut self.memo {
-            Some(memo) => memo.ratios.group_ratio(sys, local_group, power),
-            None => group_runqueue_ratio(sys, local_group, power),
-        };
+        let local_rq_ratio = self.memo.ratios.group_ratio(sys, local_group, power);
         if hot_rq_ratio <= local_rq_ratio + self.cfg.runqueue_ratio_margin {
             return 0;
         }
@@ -365,22 +310,15 @@ impl EnergyAwareBalancer {
     ) -> usize {
         let local_idx = pos.local;
         let by_capacity = self.capacities.is_some();
-        let busiest = match &mut self.memo {
-            Some(memo) => memo
+        let Some((busiest_idx, _)) =
+            self.memo
                 .load
-                .busiest_group(sys, &self.index, pos, domain, by_capacity),
-            None if by_capacity => ebs_sched::find_busiest_group_capacity(sys, domain, local_idx),
-            None => ebs_sched::find_busiest_group_scan(sys, domain, local_idx),
-        };
-        let Some((busiest_idx, _)) = busiest else {
+                .busiest_group(sys, &self.index, pos, domain, by_capacity)
+        else {
             return 0;
         };
         let busiest_group = &domain.groups()[busiest_idx];
-        let src = match &mut self.memo {
-            Some(memo) => memo.load.busiest_queue(sys, busiest_group),
-            None => ebs_sched::busiest_queue_in_group(sys, busiest_group),
-        };
-        let Some(src) = src else {
+        let Some(src) = self.memo.load.busiest_queue(sys, busiest_group) else {
             return 0;
         };
         let src_load = sys.nr_running(src);
@@ -766,30 +704,6 @@ mod tests {
         let mut bal = EnergyAwareBalancer::new(&sys, cfg);
         assert_eq!(bal.run(CpuId(0), &mut sys, &power).pulled, 0);
         assert_eq!(sys.stats().migrations(), 0);
-    }
-
-    #[test]
-    fn aggregate_default_flips_at_the_documented_threshold() {
-        // Same adaptive default as the stock balancer: scans (and no
-        // ratio-cache allocation) below 16 logical CPUs, aggregates at
-        // and above; explicit settings win.
-        let small = System::new(Topology::xseries445(false)); // 8 CPUs
-        let at_threshold = System::new(Topology::xseries445(true)); // 16 CPUs
-        let bal = EnergyAwareBalancer::new(&small, EnergyBalanceConfig::default());
-        assert!(!bal.uses_aggregates(), "8 CPUs must default to scans");
-        assert_eq!(bal.config().use_aggregates, Some(false));
-        let bal = EnergyAwareBalancer::new(&at_threshold, EnergyBalanceConfig::default());
-        assert!(bal.uses_aggregates(), "16 CPUs must default to aggregates");
-        for (sys, forced) in [(&small, true), (&at_threshold, false)] {
-            let bal = EnergyAwareBalancer::new(
-                sys,
-                EnergyBalanceConfig {
-                    use_aggregates: Some(forced),
-                    ..EnergyBalanceConfig::default()
-                },
-            );
-            assert_eq!(bal.uses_aggregates(), forced);
-        }
     }
 
     #[test]

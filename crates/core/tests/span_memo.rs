@@ -359,14 +359,8 @@ proptest! {
         }
         let mut oracle_sys = sys.clone();
         let mut oracle_timers = Timers::new(&sys);
-        let mut load = LoadBalancer::new(
-            &sys,
-            LoadBalancerConfig { use_aggregates: Some(true), ..LoadBalancerConfig::default() },
-        );
-        let mut energy = EnergyAwareBalancer::new(
-            &sys,
-            EnergyBalanceConfig { use_aggregates: Some(true), ..EnergyBalanceConfig::default() },
-        );
+        let mut load = LoadBalancer::new(&sys, LoadBalancerConfig::default());
+        let mut energy = EnergyAwareBalancer::new(&sys, EnergyBalanceConfig::default());
         energy.set_capacities(caps.clone());
         let mut run = |cpu: CpuId, sys: &mut System, oracle_sys: &mut System, power: &PowerState| {
             if energy_aware {

@@ -307,6 +307,14 @@ impl Task {
             initial_profile: r.watts()?,
             profile_weight: r.f64()?,
         };
+        // `PowerAverage::new` asserts this range; a crafted image must
+        // fail with an error instead.
+        let weight = config.profile_weight;
+        if !(weight > 0.0 && weight <= 1.0) {
+            return Err(ebs_store::StoreError::Invalid(format!(
+                "task profile weight {weight} outside (0, 1]"
+            )));
+        }
         let cpu = CpuId(r.usize()?);
         let mut task = Task::new(id, config, cpu);
         task.state = state_from_code(r.u8()?)?;
@@ -441,5 +449,34 @@ mod tests {
         };
         assert_eq!(mk(-20).prio_index(), 0);
         assert_eq!(mk(19).prio_index(), 39);
+    }
+
+    /// A sealed image whose profile weight is outside `(0, 1]` (a
+    /// corrupt or crafted file) restores to an error instead of
+    /// tripping the averaging rule's assert.
+    #[test]
+    fn crafted_profile_weights_are_rejected() {
+        use ebs_store::Snapshot as _;
+        let image_of = |t: &Task| {
+            let mut w = ebs_store::StateWriter::new();
+            t.save(&mut w);
+            w.finish()
+        };
+        let image = image_of(&task());
+        let restored = Task::from_snapshot(&mut image.open().expect("sealed image opens"));
+        assert_eq!(restored.expect("valid image").config().profile_weight, 0.25);
+        for weight in [0.0, 1.5, f64::NAN] {
+            let mut t = task();
+            t.config.profile_weight = weight;
+            let image = image_of(&t);
+            let mut r = image.open().expect("sealed image opens");
+            assert!(
+                matches!(
+                    Task::from_snapshot(&mut r),
+                    Err(ebs_store::StoreError::Invalid(_))
+                ),
+                "weight {weight} restored"
+            );
+        }
     }
 }

@@ -47,8 +47,8 @@ pub struct DvfsSpec {
     /// last decision, instead of on the fixed `interval` cadence. A
     /// steady package then needs no governor wake-ups at all, so the
     /// variable-stride engine's steps stretch past the old 10 ms floor.
-    /// `false` selects the measured cadence baseline (mirroring
-    /// [`SimConfig::scan_balancing`]).
+    /// `false` selects the cadence baseline that `exp_dvfs` measures
+    /// against.
     pub event_driven: bool,
     /// Optional periodic fallback for event-driven mode: re-decide at
     /// least this often even inside the hold bands. `None` (the
@@ -125,12 +125,6 @@ pub struct SimConfig {
     pub balance: EnergyBalanceConfig,
     /// Enable hot task migration (Fig. 5).
     pub hot_task_migration: bool,
-    /// Force both balancers onto the pre-aggregate scan paths (walk
-    /// every runqueue per group selection) instead of the incremental
-    /// aggregate tree. Decisions are bitwise identical either way;
-    /// this exists for the balance benchmark's baseline and the
-    /// equivalence tests.
-    pub scan_balancing: bool,
     /// Enable energy-aware initial placement (Section 4.6).
     pub energy_placement: bool,
     /// Enable `hlt` throttling at the maximum power.
@@ -222,7 +216,6 @@ impl SimConfig {
             energy_balancing: true,
             balance: EnergyBalanceConfig::default(),
             hot_task_migration: true,
-            scan_balancing: false,
             energy_placement: true,
             throttling: true,
             dvfs: None,
@@ -414,13 +407,6 @@ impl SimConfig {
         self
     }
 
-    /// Forces the pre-aggregate scan-based balancing paths (see
-    /// [`SimConfig::scan_balancing`]).
-    pub fn scan_balancing(mut self, on: bool) -> Self {
-        self.scan_balancing = on;
-        self
-    }
-
     /// Enables or disables only energy-aware placement.
     pub fn energy_placement(mut self, on: bool) -> Self {
         self.energy_placement = on;
@@ -451,9 +437,8 @@ impl SimConfig {
 
     /// Forces the fixed-cadence governor baseline (or re-enables the
     /// event-driven default) on the configured DVFS spec. No-op when
-    /// DVFS is disabled; like [`SimConfig::scan_balancing`], the
-    /// baseline exists so experiments can measure exactly what the
-    /// event-driven path buys.
+    /// DVFS is disabled. The baseline exists so experiments can
+    /// measure exactly what the event-driven path buys.
     pub fn dvfs_event_driven(mut self, on: bool) -> Self {
         if let Some(spec) = self.dvfs.as_mut() {
             spec.event_driven = on;

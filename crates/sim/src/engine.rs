@@ -429,31 +429,12 @@ impl Simulation {
         if let Some(caps) = &capacities {
             sys.set_cpu_capacities(caps);
         }
-        // `scan_balancing` forces the scan paths; otherwise the
-        // balance config's own setting (adaptive by machine size when
-        // unspecified) decides at balancer construction.
         let balancer = if cfg.energy_balancing {
-            let bcfg = ebs_core::EnergyBalanceConfig {
-                use_aggregates: if cfg.scan_balancing {
-                    Some(false)
-                } else {
-                    cfg.balance.use_aggregates
-                },
-                ..cfg.balance
-            };
-            let mut b = EnergyAwareBalancer::new(&sys, bcfg);
+            let mut b = EnergyAwareBalancer::new(&sys, cfg.balance);
             b.set_capacities(capacities.clone());
             Balancer::EnergyAware(b)
         } else {
-            let lcfg = LoadBalancerConfig {
-                use_aggregates: if cfg.scan_balancing {
-                    Some(false)
-                } else {
-                    None
-                },
-                ..LoadBalancerConfig::default()
-            };
-            Balancer::Baseline(LoadBalancer::new(&sys, lcfg))
+            Balancer::Baseline(LoadBalancer::new(&sys, LoadBalancerConfig::default()))
         };
         let warmth = WarmthModel {
             floor: cfg.warmup_ipc_floor,

@@ -1,7 +1,10 @@
-//! Golden regression values: the exact end states of three pinned
-//! runs, recorded before the per-step fast paths of the estimator, the
-//! thermal-power average, the counter rounding and the balancer timers
-//! went in.
+//! Golden regression values: the exact end states of pinned runs. The
+//! first three were recorded before the per-step fast paths of the
+//! estimator, the thermal-power average, the counter rounding and the
+//! balancer timers went in; the 8-CPU runs were recorded while
+//! machines below 16 CPUs still balanced by scanning every runqueue,
+//! so they pin that the aggregate-tree balancers decide exactly as
+//! those scans did.
 //!
 //! The equivalence suites compare two engine cores, or two repetitions
 //! of one binary, so they cannot see a change that moves every run the
@@ -198,4 +201,37 @@ const FLEET_GOLDEN: &[&str] = &[
     "6 arr=20 compl=12 instr=19192703463 energy=0x40805158e2f95249 stranded=0x404106a522a2ffa8 lat_n=12 lat_p50=0x3fd0da7b0b391926 lat_p99=0x3ff5c90f733a8a40",
     "7 arr=22 compl=18 instr=24758122017 energy=0x4082ab2777011a14 stranded=0x0 lat_n=18 lat_p50=0x3fd148c2e770bd01 lat_p99=0x3ff6a69270b06c44",
     "hashes=[b45e8bf81edad115, 983f72a64a1d8cd4, dac7ef1369903933, 7c1904911357a3bb, b677fd8c55c291ae, 61f918f4307599da, 3d137387dfc6ccd0, cc77588dc8db95f6]",
+];
+
+/// The xSeries 445 without SMT (8 CPUs) on the fixed-tick core, three
+/// copies of the Section 6.1 mix, energy-aware scheduling, 8 s. Without
+/// a thermal limit both balancer steps run on every CPU and none finds
+/// enough imbalance to migrate; under Table 3's cooling factors and
+/// 38 °C limit, load, energy and exchange migrations all fire.
+#[test]
+fn xseries445_smt_off_matches_golden() {
+    let unlimited = SimConfig::xseries445()
+        .smt(false)
+        .energy_aware(true)
+        .seed(11);
+    let table3 = unlimited
+        .clone()
+        .cooling_factors(vec![1.25, 0.62, 0.65, 1.28, 0.85, 0.60, 0.63, 0.66])
+        .max_power(MaxPowerSpec::FromThermalLimit(Celsius(38.0)));
+    let mut actual = Vec::new();
+    for cfg in [unlimited, table3] {
+        let mut sim = Simulation::new(cfg);
+        sim.spawn_mix(&section61_mix(), 3);
+        sim.run_for(SimDuration::from_secs(8));
+        actual.push(format!("hash={:#x}", SimEngine::state_hash(&sim)));
+        actual.push(report_digest(&sim.report()));
+    }
+    assert_digest("xseries445_smt_off", &actual, XSERIES445_SMT_OFF_GOLDEN);
+}
+
+const XSERIES445_SMT_OFF_GOLDEN: &[&str] = &[
+    "hash=0x9172c64fa6a58ec4",
+    "steps=8000 instr=174161453457 compl=0 arrivals=0 migr=[0, 0, 0, 0] cs=648 energy=0x40a92cf7c4f49702 est=0x40aa3b3ac35cee55 temp=0x403dae520b32e180 throttled=0x0 lat_n=0 lat_p50=0x0 dvfs=0/0",
+    "hash=0xaabe54b6f1e503e1",
+    "steps=8000 instr=176367730817 compl=0 arrivals=0 migr=[4, 14, 0, 10] cs=648 energy=0x40a96bb26e3132a3 est=0x40aa8a00d47d5e8a temp=0x403dfbd60bef2e56 throttled=0x0 lat_n=0 lat_p50=0x0 dvfs=0/0",
 ];
